@@ -29,16 +29,18 @@ from .core import (
     Circuit,
     CircuitError,
     Gate,
-    GateKind,
     Register,
     RegisterLayout,
     Role,
     Wire,
+    asap_slices,
     ccx,
     cnot,
+    count_toffoli_slices,
     levelize,
     lightcone,
     not_,
+    retag,
 )
 
 FUNCTIONS = ("add", "add-mod2n", "add-mersenne", "subtract", "compare")
@@ -87,22 +89,6 @@ class AdderRequest:
         return vid + ("-ic" if self.incoming_carry else "")
 
 
-def _toffoli_slices(gates: list[Gate]) -> int:
-    """Toffoli-bearing slice count of a gate run under in-order packing."""
-    count = 0
-    cur: set[Wire] = set()
-    has_t = False
-    for g in gates:
-        wires = set(g.wires)
-        if cur & wires:
-            count += has_t
-            cur = set()
-            has_t = False
-        cur |= wires
-        has_t = has_t or g.kind is GateKind.TOFFOLI
-    return count + has_t
-
-
 def _seal(copies: list[Gate], block: list[Gate]) -> tuple[list[Gate], list[Gate]]:
     """Pin the seam between a pass of disjoint gates and the block after it.
 
@@ -140,8 +126,8 @@ def _phase_barriers(gates: list[Gate]) -> list[Barrier]:
     (see ``network_gates``) count as one ``network`` region."""
     barriers = []
     prev = None
-    for i, g in enumerate(gates):
-        label = "network" if g.phase in _ROUND_PHASES else (g.phase or "")
+    for i, (_, _, _, phase) in enumerate(gates):
+        label = "network" if phase in _ROUND_PHASES else (phase or "")
         if label != prev:
             barriers.append(Barrier(i, label))
             prev = label
@@ -256,7 +242,7 @@ def gen_add_ip(n: int, incoming_carry: bool = False) -> Circuit:
     rev: list[Gate] = []
     if m > 1:
         fwd = network_gates(m - 1, amap_rev, gw, bw)
-        rev = [Gate(g.kind, g.controls, g.target, "Pinv") for g in reversed(fwd)]
+        rev = retag(reversed(fwd), "Pinv")
     fix1, rev = _seal(fix1, rev)
     gates += fix1 + rev
     fix2 = [cnot(aw(i), bw(i), "fixup") for i in range(1, m - 1)]
@@ -349,7 +335,7 @@ def _gen_mod2n_ip(n: int, incoming_carry: bool) -> Circuit:
     rev: list[Gate] = []
     if m >= 1:
         fwd = network_gates(m, amap, gw, bw)
-        rev = [Gate(g.kind, g.controls, g.target, "Pinv") for g in reversed(fwd)]
+        rev = retag(reversed(fwd), "Pinv")
     fix1, rev = _seal(fix1, rev)
     gates += fix1 + rev
     fix2 = [cnot(aw(i), bw(i), "fixup") for i in range(1, m)]
@@ -423,9 +409,8 @@ def gen_compare(n: int, incoming_carry: bool = False) -> Circuit:
     cone = lightcone(Circuit(layout, g_all), sink)
     g_cone = [g for i, g in enumerate(g_all) if i in cone]
     gates += levelize(p_fw + g_cone)
-    un_g = [Gate(g.kind, g.controls, g.target, "fixup")
-            for g in reversed(g_cone) if g.target != sink]
-    p_bw = [Gate(g.kind, g.controls, g.target, "Pinv") for g in reversed(p_fw)]
+    un_g = retag((g for g in reversed(g_cone) if g.target != sink), "fixup")
+    p_bw = retag(reversed(p_fw), "Pinv")
     gates += levelize(un_g + p_bw)
     fix = [cnot(aw(i), bw(i), "fixup") for i in range(1, m)]
     erase = [ccx(aw(i), bw(i), gw(i + 1), "fixup") for i in range(lo, m - 1)]
@@ -474,8 +459,7 @@ def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: Wire,
     p_fw = rounds.p_gates("P")
     g_fw = rounds.g_gates("G")
     c_fw = rounds.c_gates("C")
-    p_bw = [Gate(g.kind, g.controls, g.target, "Pinv")
-            for g in reversed(p_fw)]
+    p_bw = retag(reversed(p_fw), "Pinv")
     if zero_rep == "zeros":
         # fold the full-width propagate into the wrapped carry before the
         # C-rounds read it; the fold commutes with the G-round writes of
@@ -488,7 +472,8 @@ def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: Wire,
             levelize(p_fw + g_fw[:e] + [extra] + g_fw[e:] + c_fw + p_bw)
             for e in [0, *rounds.g_round_ends]
         ]
-        return min(orders, key=_toffoli_slices)
+        return min(orders, key=lambda order: count_toffoli_slices(
+            order, asap_slices(order)))
     return levelize(p_fw + g_fw + c_fw + p_bw)
 
 
@@ -517,7 +502,7 @@ def _gen_mersenne_ip(n: int, zero_rep: str) -> Circuit:
     gates += [not_(_bw(i), "negate") for i in range(n)]
     fix1 = [cnot(_aw(i), _bw(i), "fixup") for i in range(n)]
     fwd = _mersenne_rounds(make_rounds(), gw(n), other)
-    rev = [Gate(g.kind, g.controls, g.target, "Pinv") for g in reversed(fwd)]
+    rev = retag(reversed(fwd), "Pinv")
     fix1, rev = _seal(fix1, rev)
     gates += fix1 + rev
     fix2 = [cnot(_aw(i), _bw(i), "fixup") for i in range(n)]

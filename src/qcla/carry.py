@@ -36,6 +36,7 @@ from .core import (
     ccx,
     invert,
     levelize,
+    retag,
 )
 
 WireFn = Callable[[int], Wire]
@@ -174,9 +175,7 @@ def network_gates(
     c_gates: list[Gate] = []
     for t in range(max_fanout_round(n), 0, -1):
         c_gates += round_gates("C", t, n, ancilla_map, gw, pw, phase="C")
-    pinv = [
-        Gate(g.kind, g.controls, g.target, "Pinv") for g in reversed(p_gates)
-    ]
+    pinv = retag(reversed(p_gates), "Pinv")
     return levelize(p_gates + g_gates + c_gates + pinv)
 
 

@@ -16,7 +16,13 @@ import sys
 from .adders import VARIANTS, AdderRequest, build, build_variant, request_for
 from .core import Circuit, CircuitError, resource_report
 from .formulas import FORMULAS, verify_family
-from .sim import exhaustive_check, expected_state, run_operands, uses_carry_in
+from .sim import (
+    exhaustive_check,
+    expected_state,
+    input_registers,
+    run_operands,
+    uses_carry_in,
+)
 from .textfmt import ParseError, emit_native, emit_qasm, parse_native
 
 _META_RE = re.compile(r"^#\s*variant=(\S+)\s+n=(\d+)\s*$", re.MULTILINE)
@@ -115,13 +121,21 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if n is None:
         print("error: file carries no width stamp", file=sys.stderr)
         return EXIT_USAGE
+    if vid not in VARIANTS:
+        print(f"error: unknown variant {vid!r}", file=sys.stderr)
+        return EXIT_USAGE
+    for _, reg in input_registers(vid):
+        if reg not in circuit.layout:
+            print(f"error: {vid} reads register {reg}, which the circuit "
+                  f"does not declare", file=sys.stderr)
+            return EXIT_USAGE
 
     if args.exhaustive:
         if n > 12:
             print(f"error: --exhaustive limited to n <= 12, got n={n}",
                   file=sys.stderr)
             return EXIT_USAGE
-        cex = exhaustive_check(vid, n)
+        cex = exhaustive_check(vid, n, circuit=circuit)
         if cex is not None:
             print(f"FAIL: {cex}")
             return EXIT_MISMATCH

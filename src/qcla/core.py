@@ -10,12 +10,21 @@ named registers.  The module provides:
 * ``invert`` -- reverse a circuit (every gate is self-inverse)
 * ``constant_propagate`` -- simplify against compile-time-known wire values
 * ``lightcone`` -- backward cone of influence of a single wire
+
+``Wire`` and ``Gate`` are immutable tuple subclasses, ``(register, index)``
+and ``(kind, controls, target, phase)``: they hash and compare as those
+tuples -- so each equals the plain tuple with the same fields -- and hot
+loops unpack them directly.  Wires are interned, one object per distinct
+wire.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -37,15 +46,36 @@ class Role(str, Enum):
     CARRY_IN = "carry-in"
 
 
-@dataclass(frozen=True, slots=True)
-class Wire:
-    """A single bit line, addressed as register name + index (0 = LSB)."""
+class Wire(tuple):
+    """A single bit line, addressed as register name + index (0 = LSB).
 
-    register: str
-    index: int
+    A ``Wire`` is an immutable ``(register, index)`` tuple: it hashes and
+    compares as that tuple, so ``Wire("A", 3) == ("A", 3)``, and hashing and
+    equality run in C.  Instances are interned -- every ``Wire("A", 3)`` is
+    the same object -- so all gates touching a wire share it.  The intern
+    table lives for the process and holds one entry per distinct wire built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, register: str, index: int) -> Wire:
+        key = (register, index)
+        wire = _WIRES.get(key)
+        if wire is None:
+            wire = _WIRES[key] = tuple.__new__(cls, key)
+        return wire
+
+    register = property(itemgetter(0), doc="Register name.")
+    index = property(itemgetter(1), doc="Bit position in the register.")
+
+    def __getnewargs__(self) -> tuple[str, int]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"{self.register}[{self.index}]"
+        return f"{self[0]}[{self[1]}]"
+
+
+_WIRES: dict[tuple[str, int], Wire] = {}
 
 
 class GateKind(Enum):
@@ -53,37 +83,62 @@ class GateKind(Enum):
     CNOT = "cnot"
     TOFFOLI = "ccx"
 
+    # members are singletons, so identity hashing is exact; it keeps the
+    # hashing of gates and of kind-keyed tables in C
+    __hash__ = object.__hash__
+
     @property
     def num_controls(self) -> int:
-        return {"not": 0, "cnot": 1, "ccx": 2}[self.value]
+        return _NUM_CONTROLS[self]
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    """One reversible gate: ``target ^= AND(controls)`` (empty AND = 1)."""
+_NUM_CONTROLS = {GateKind.NOT: 0, GateKind.CNOT: 1, GateKind.TOFFOLI: 2}
 
-    kind: GateKind
-    controls: tuple[Wire, ...]
-    target: Wire
-    phase: str | None = None
 
-    def __post_init__(self) -> None:
-        if len(self.controls) != self.kind.num_controls:
+class Gate(tuple):
+    """One reversible gate: ``target ^= AND(controls)`` (empty AND = 1).
+
+    A ``Gate`` is an immutable ``(kind, controls, target, phase)`` tuple
+    and compares equal to the plain tuple with the same fields, phase
+    included.  Construction checks the control count against the kind and
+    that the wires are distinct.  Gates are not interned; their wires are.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: GateKind, controls: tuple[Wire, ...], target: Wire,
+                phase: str | None = None) -> Gate:
+        if len(controls) != _NUM_CONTROLS[kind]:
             raise CircuitError(
-                f"{self.kind.value} expects {self.kind.num_controls} controls, "
-                f"got {len(self.controls)}"
+                f"{kind.value} expects {_NUM_CONTROLS[kind]} controls, "
+                f"got {len(controls)}"
             )
-        wires = (*self.controls, self.target)
-        if len(set(wires)) != len(wires):
-            raise CircuitError(f"gate wires must be distinct: {wires}")
+        if target in controls or (len(controls) == 2
+                                  and controls[0] == controls[1]):
+            raise CircuitError(
+                f"gate wires must be distinct: {(*controls, target)}")
+        return tuple.__new__(cls, (kind, controls, target, phase))
+
+    kind = property(itemgetter(0))
+    controls = property(itemgetter(1))
+    target = property(itemgetter(2))
+    phase = property(itemgetter(3))
 
     @property
     def wires(self) -> tuple[Wire, ...]:
-        return (*self.controls, self.target)
+        return (*self[1], self[2])
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     def __repr__(self) -> str:
         args = " ".join(repr(w) for w in self.wires)
-        return f"{self.kind.value} {args}"
+        return f"{self[0].value} {args}"
+
+
+def retag(gates: Iterable[Gate], phase: str) -> list[Gate]:
+    """The same gates with their phase tag replaced (no re-validation)."""
+    return [tuple.__new__(Gate, (g[0], g[1], g[2], phase)) for g in gates]
 
 
 def not_(target: Wire, phase: str | None = None) -> Gate:
@@ -148,10 +203,11 @@ class RegisterLayout:
 
     def flat_index(self, wire: Wire) -> int:
         """Position of a wire in the layout's flattened bit order."""
-        reg = self._by_name.get(wire.register)
-        if reg is None or not 0 <= wire.index < reg.size:
+        name, index = wire
+        reg = self._by_name.get(name)
+        if reg is None or not 0 <= index < reg.size:
             raise CircuitError(f"wire {wire!r} not in layout")
-        return self._offsets[wire.register] + wire.index
+        return self._offsets[name] + index
 
     def all_wires(self) -> list[Wire]:
         return [w for r in self.registers for w in self.wires(r.name)]
@@ -184,9 +240,10 @@ class Circuit:
         self.layout = layout
         self.gates = tuple(gates)
         self.barriers = tuple(barriers)
-        for g in self.gates:
-            for w in g.wires:
-                layout.flat_index(w)  # raises on foreign wires
+        wires = set(map(_TARGET, self.gates))  # each distinct wire once
+        wires.update(chain.from_iterable(map(_CONTROLS, self.gates)))
+        for w in wires:
+            layout.flat_index(w)  # raises on foreign wires
         last = -1
         for b in self.barriers:
             if not 0 <= b.position <= len(self.gates):
@@ -199,21 +256,13 @@ class Circuit:
         return len(self.gates)
 
     def counts(self) -> dict[GateKind, int]:
-        out = {k: 0 for k in GateKind}
-        for g in self.gates:
-            out[g.kind] += 1
-        return out
+        tally = Counter(map(_KIND, self.gates))
+        return {k: tally[k] for k in GateKind}
 
-    def phase_gates(self, phase: str) -> list[Gate]:
-        return [g for g in self.gates if g.phase == phase]
 
-    def phase_end(self, phase: str) -> int:
-        """Index one past the last gate tagged with ``phase``."""
-        end = 0
-        for i, g in enumerate(self.gates):
-            if g.phase == phase:
-                end = i + 1
-        return end
+_KIND = itemgetter(0)
+_CONTROLS = itemgetter(1)
+_TARGET = itemgetter(2)
 
 
 def invert(circuit: Circuit) -> Circuit:
@@ -236,20 +285,35 @@ def schedule_asap(circuit: Circuit) -> list[list[int]]:
     that this packing realizes the construction's parallelism (see
     :func:`levelize`).  Returns gate indices per slice.
     """
-    slices: list[list[int]] = []
-    cur: list[int] = []
-    cur_wires: set[Wire] = set()
-    for i, g in enumerate(circuit.gates):
-        wires = set(g.wires)
-        if cur_wires & wires:
-            slices.append(cur)
-            cur = []
-            cur_wires = set()
-        cur.append(i)
-        cur_wires |= wires
-    if cur:
-        slices.append(cur)
-    return slices
+    return asap_slices(circuit.gates)
+
+
+def asap_slices(gates: Sequence[Gate]) -> list[list[int]]:
+    """The slices of :func:`schedule_asap` for a bare gate sequence."""
+    starts: list[int] = []  # index of the first gate of every slice but one
+    used: set[Wire] = set()  # wires of the open slice
+    update, clear = used.update, used.clear
+    size = 0
+    for i, (_, controls, target, _) in enumerate(gates):
+        wires = (*controls, target)
+        update(wires)
+        size += len(wires)
+        # a gate's own wires are distinct, so the set grew by less than
+        # len(wires) only if one of them was in use: open a new slice
+        if len(used) != size:
+            starts.append(i)
+            clear()
+            update(wires)
+            size = len(wires)
+    bounds = [0, *starts, len(gates)] if gates else []
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+def count_toffoli_slices(gates: Sequence[Gate],
+                         slices: list[list[int]]) -> int:
+    """How many of ``slices`` (index lists into ``gates``) hold a Toffoli."""
+    toffoli = GateKind.TOFFOLI
+    return sum(any(gates[i][0] is toffoli for i in sl) for sl in slices)
 
 
 def levelize(gates: Sequence[Gate]) -> list[Gate]:
@@ -260,16 +324,32 @@ def levelize(gates: Sequence[Gate]) -> list[Gate]:
     wire-disjoint and :func:`schedule_asap` packs each level into a single
     slice.  Gates sharing a wire always differ in level and keep their
     relative order, hence the reorder only exchanges commuting
-    (wire-disjoint) gates and semantics are unchanged.
+    (wire-disjoint) gates and semantics are unchanged.  One pass appends
+    each gate to the bucket of its level; the buckets, concatenated, are
+    the result.
     """
-    last: dict[Wire, int] = {}
-    levels: list[int] = []
+    # wire -> the lowest level a later gate on that wire may take
+    level: dict[Wire, int] = {}
+    get = level.get
+    buckets: list[list[Gate]] = []
+    depth = 0
     for g in gates:
-        lv = 1 + max((last.get(w, 0) for w in g.wires), default=0)
-        levels.append(lv)
-        for w in g.wires:
-            last[w] = lv
-    return [g for _, g in sorted(zip(levels, gates), key=lambda lg: lg[0])]
+        _, controls, target, _ = g
+        lv = get(target, 0)
+        for c in controls:
+            lc = get(c, 0)
+            if lc > lv:
+                lv = lc
+        if lv < depth:
+            buckets[lv].append(g)
+        else:
+            buckets.append([g])
+            depth += 1
+        lv += 1
+        level[target] = lv
+        for c in controls:
+            level[c] = lv
+    return list(chain.from_iterable(buckets))
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,17 +382,13 @@ def resource_report(circuit: Circuit) -> ResourceReport:
     """
     counts = circuit.counts()
     slices = schedule_asap(circuit)
-    tof = 0
-    for sl in slices:
-        if any(circuit.gates[i].kind is GateKind.TOFFOLI for i in sl):
-            tof += 1
     anc = sum(r.size for r in circuit.layout.registers if r.role is Role.ANCILLA)
     return ResourceReport(
         toffoli=counts[GateKind.TOFFOLI],
         cnot=counts[GateKind.CNOT],
         nots=counts[GateKind.NOT],
         total_slices=len(slices),
-        toffoli_slices=tof,
+        toffoli_slices=count_toffoli_slices(circuit.gates, slices),
         ancilla_count=anc,
         width=circuit.layout.total_size,
     )

@@ -64,13 +64,14 @@ def run_columns(
     gates: Sequence[Gate] | None = None,
 ) -> dict[Wire, int]:
     """Apply the gates to bit columns in place; ``mask`` covers all samples."""
-    for g in circuit.gates if gates is None else gates:
-        if g.kind is GateKind.NOT:
-            cols[g.target] ^= mask
-        elif g.kind is GateKind.CNOT:
-            cols[g.target] ^= cols[g.controls[0]]
+    not_kind, cnot_kind = GateKind.NOT, GateKind.CNOT
+    for kind, controls, target, _ in circuit.gates if gates is None else gates:
+        if kind is not_kind:
+            cols[target] ^= mask
+        elif kind is cnot_kind:
+            cols[target] ^= cols[controls[0]]
         else:
-            cols[g.target] ^= cols[g.controls[0]] & cols[g.controls[1]]
+            cols[target] ^= cols[controls[0]] & cols[controls[1]]
     return cols
 
 
@@ -351,15 +352,20 @@ def _vector_expected(variant_id: str, n: int, a: np.ndarray, b: np.ndarray,
     return exp
 
 
-def exhaustive_check(variant_id: str, n: int) -> Counterexample | None:
+def exhaustive_check(variant_id: str, n: int, *,
+                     circuit: Circuit | None = None) -> Counterexample | None:
     """Check every operand combination; returns the first mismatch, if any.
 
-    The sample space has ``2n`` (plus one carry-in) input bits, so this is
-    limited to small widths.
+    ``circuit`` is the circuit under test, by default the generated
+    ``build_variant(variant_id, n)``; pass one read from elsewhere, such as
+    a parsed file, to check it against the variant's oracle.  The sample
+    space has ``2n`` (plus one carry-in) input bits, so this is limited to
+    small widths.
     """
     if n > 12:
         raise CircuitError("exhaustive check limited to n <= 12")
-    circuit = build_variant(variant_id, n)
+    if circuit is None:
+        circuit = build_variant(variant_id, n)
     pairs = input_registers(variant_id)
     widths = {"a": n, "b": n, "y": 1}
     total_bits = sum(widths[op] for op, _ in pairs)

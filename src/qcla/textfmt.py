@@ -16,6 +16,7 @@ import re
 from .core import (
     Barrier,
     Circuit,
+    CircuitError,
     Gate,
     GateKind,
     Register,
@@ -39,22 +40,35 @@ _WIRE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+class _WireTokens(dict):
+    """Wire -> its text token, each formatted on first use."""
+
+    def __missing__(self, wire: Wire) -> str:
+        token = self[wire] = f"{wire[0]}[{wire[1]}]"
+        return token
+
+
+_OPS = {k: k.value for k in GateKind}
+
+
 def emit_native(circuit: Circuit, header_comments: list[str] | None = None) -> str:
     """Serialize a circuit to the native text format."""
     lines = [f"# {c}" for c in header_comments or []]
     for r in circuit.layout.registers:
         lines.append(f"reg {r.name} {r.size} {r.role.value}")
-    barriers = list(circuit.barriers)
-    bi = 0
-    for i, g in enumerate(circuit.gates):
-        while bi < len(barriers) and barriers[bi].position == i:
-            lines.append(f"barrier {barriers[bi].label}")
-            bi += 1
-        args = " ".join(str(w) for w in g.wires)
-        lines.append(f"{g.kind.value} {args}")
-    while bi < len(barriers):
-        lines.append(f"barrier {barriers[bi].label}")
-        bi += 1
+    token = _WireTokens().__getitem__
+
+    def gate_line(gate: Gate) -> str:
+        kind, controls, target, _ = gate
+        return f"{_OPS[kind]} {' '.join(map(token, (*controls, target)))}"
+
+    gates = circuit.gates
+    start = 0
+    for b in circuit.barriers:
+        lines += map(gate_line, gates[start:b.position])
+        lines.append(f"barrier {b.label}")
+        start = b.position
+    lines += map(gate_line, gates[start:])
     return "\n".join(lines) + "\n"
 
 
@@ -62,68 +76,79 @@ _KINDS = {k.value: k for k in GateKind}
 _ROLES = {r.value: r for r in Role}
 
 
-def _parse_wire(token: str, lineno: int) -> Wire:
-    m = _WIRE_RE.match(token)
-    if not m:
-        raise ParseError(lineno, f"malformed wire reference {token!r}")
-    return Wire(m.group(1), int(m.group(2)))
-
-
 def parse_native(text: str) -> Circuit:
     """Parse the native text format back into a circuit.
 
     Gate phase tags are not part of the format, so parsed gates carry no
-    phase; barriers and all counts round-trip exactly.
+    phase; barriers and all counts round-trip exactly.  Every error,
+    including an invalid register layout, is a :class:`ParseError`.
     """
     registers: list[Register] = []
+    sizes: dict[str, int] = {}
     gates: list[Gate] = []
     barriers: list[Barrier] = []
-    seen_gates = False
+    reg_lineno = 0  # line of the last register header
+    # token -> its wire, checked once: the registers are fixed by then,
+    # since every register header precedes the first gate
+    wires: dict[str, Wire] = {}
+
+    def wire(token: str, lineno: int) -> Wire:
+        m = _WIRE_RE.match(token)
+        if not m:
+            raise ParseError(lineno, f"malformed wire reference {token!r}")
+        name, index = m.group(1), int(m.group(2))
+        if name not in sizes:
+            raise ParseError(lineno, f"undeclared register {name!r}")
+        if index >= sizes[name]:
+            raise ParseError(lineno, f"wire {token} out of range")
+        w = wires[token] = Wire(name, index)
+        return w
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         op, args = tokens[0], tokens[1:]
-        if op == "reg":
-            if seen_gates:
+        kind = _KINDS.get(op)
+        if kind is not None:
+            if len(args) != kind.num_controls + 1:
+                raise ParseError(
+                    lineno,
+                    f"{op} needs {kind.num_controls + 1} wires, got {len(args)}")
+            ws = [wires.get(t) or wire(t, lineno) for t in args]
+            try:
+                gates.append(Gate(kind, tuple(ws[:-1]), ws[-1]))
+            except CircuitError as exc:
+                raise ParseError(lineno, str(exc)) from None
+        elif op == "reg":
+            if gates:
                 raise ParseError(lineno, "reg line after first gate")
             if len(args) != 3:
                 raise ParseError(lineno, "reg needs: name size role")
             name, size_s, role_s = args
             if not _NAME_RE.match(name):
                 raise ParseError(lineno, f"bad register name {name!r}")
-            if any(r.name == name for r in registers):
+            if name in sizes:
                 raise ParseError(lineno, f"duplicate register {name!r}")
             if not size_s.isdigit():
                 raise ParseError(lineno, f"bad register size {size_s!r}")
             if role_s not in _ROLES:
                 raise ParseError(lineno, f"unknown role {role_s!r}")
-            registers.append(Register(name, int(size_s), _ROLES[role_s]))
+            sizes[name] = int(size_s)
+            registers.append(Register(name, sizes[name], _ROLES[role_s]))
+            reg_lineno = lineno
         elif op == "barrier":
             if len(args) != 1:
                 raise ParseError(lineno, "barrier needs exactly one label")
             barriers.append(Barrier(len(gates), args[0]))
-        elif op in _KINDS:
-            kind = _KINDS[op]
-            if len(args) != kind.num_controls + 1:
-                raise ParseError(
-                    lineno,
-                    f"{op} needs {kind.num_controls + 1} wires, got {len(args)}")
-            wires = [_parse_wire(t, lineno) for t in args]
-            sizes = {r.name: r.size for r in registers}
-            for w in wires:
-                if w.register not in sizes:
-                    raise ParseError(lineno, f"undeclared register {w.register!r}")
-                if w.index >= sizes[w.register]:
-                    raise ParseError(lineno, f"wire {w} out of range")
-            if len(set(wires)) != len(wires):
-                raise ParseError(lineno, "gate wires must be distinct")
-            gates.append(Gate(kind, tuple(wires[:-1]), wires[-1]))
-            seen_gates = True
         else:
             raise ParseError(lineno, f"unknown directive {op!r}")
-    return Circuit(RegisterLayout(registers), gates, barriers)
+    try:
+        layout = RegisterLayout(registers)
+    except CircuitError as exc:  # reported at the header's last line
+        raise ParseError(reg_lineno, str(exc)) from None
+    return Circuit(layout, gates, barriers)
 
 
 def emit_qasm(circuit: Circuit) -> str:

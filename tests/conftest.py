@@ -2,12 +2,66 @@
 
 from __future__ import annotations
 
-from qcla import build_variant
-from qcla.core import Wire
+import hashlib
+from typing import NamedTuple
+
+import pytest
+
+import qcla.formulas
+from qcla import CircuitError, build_variant, emit_native, verify_family
+from qcla.adders import VARIANTS, request_for
+from qcla.core import Circuit, Wire
 from qcla.sim import run_columns, stride_column, zero_columns
 
 # width grid used by the resource checks: dense through 64, then powers of two
 GRID = list(range(7, 65)) + [128, 256, 512, 1024]
+
+
+def valid_small_widths(vid: str, top: int = 8) -> list[int]:
+    out = []
+    for n in range(1, top + 1):
+        if vid == "carry-network":
+            out.append(n)
+            continue
+        try:
+            request_for(vid, n)
+        except CircuitError:
+            continue
+        out.append(n)
+    return out
+
+
+def native_digest(circuit: Circuit) -> str:
+    """SHA-256 of a circuit's native text form: pins its exact gate list."""
+    return hashlib.sha256(emit_native(circuit).encode()).hexdigest()
+
+
+class GridSweep(NamedTuple):
+    results: dict  # (variant, n, field) -> VerifyResult
+    digests: dict  # (variant, n) -> native_digest of the circuit verified
+
+
+@pytest.fixture(scope="session")
+def grid_sweep() -> GridSweep:
+    """``verify_family`` for every variant over the width grid, run once.
+
+    Every circuit that ``verify_family`` builds is also digested, so the
+    golden-digest test checks the very circuits the resource checks
+    measured without building them a second time.
+    """
+    results, digests = {}, {}
+
+    def build_and_digest(vid: str, n: int) -> Circuit:
+        circuit = build_variant(vid, n)
+        digests[(vid, n)] = native_digest(circuit)
+        return circuit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcla.formulas, "build_variant", build_and_digest)
+        for vid in VARIANTS:
+            for r in verify_family(vid, GRID):
+                results[(vid, r.n, r.field)] = r
+    return GridSweep(results, digests)
 
 
 def gc_boundary_ok(n: int) -> bool:

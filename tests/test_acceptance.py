@@ -19,9 +19,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import GRID, gc_boundary_ok
+from conftest import GRID, gc_boundary_ok, valid_small_widths
 from qcla import (
-    CircuitError,
     Wire,
     build_variant,
     constant_propagate,
@@ -30,9 +29,8 @@ from qcla import (
     popcount_identity_check,
     random_check,
     resource_report,
-    verify_family,
 )
-from qcla.adders import VARIANTS, request_for
+from qcla.adders import VARIANTS
 from qcla.carry import ceil_log2, floor_log2
 from qcla.formulas import popcount
 from qcla.sim import (
@@ -44,29 +42,11 @@ from qcla.sim import (
 )
 
 
-def valid_small_widths(vid: str, top: int = 8) -> list[int]:
-    out = []
-    for n in range(1, top + 1):
-        if vid == "carry-network":
-            out.append(n)
-            continue
-        try:
-            request_for(vid, n)
-        except CircuitError:
-            continue
-        out.append(n)
-    return out
-
-
 @pytest.fixture(scope="module")
-def measured():
+def measured(grid_sweep):
     """verify_family results for every variant over the width grid,
     indexed by (variant, n, field)."""
-    index = {}
-    for vid in VARIANTS:
-        for r in verify_family(vid, GRID):
-            index[(vid, r.n, r.field)] = r
-    return index
+    return grid_sweep.results
 
 
 def test_criterion_1_exhaustive_functional_correctness():

@@ -135,3 +135,34 @@ def test_qasm_format_output(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "a.qasm", "--circuit", "add", "--n", "4",
                     "--format", "qasm")
     assert path.read_text().startswith("OPENQASM 2.0;")
+
+
+def test_sim_exhaustive_checks_the_file_not_the_stamp(tmp_path, capsys):
+    path = gen_file(tmp_path, capsys, "c6.qc", "--circuit", "compare",
+                    "--n", "6")
+    lines = path.read_text().splitlines(keepends=True)
+    first_ccx = next(i for i, l in enumerate(lines) if l.startswith("ccx "))
+    path.write_text("".join(lines[:first_ccx] + lines[first_ccx + 1:]))
+    code, out, _ = run(capsys, "sim", str(path), "--exhaustive")
+    assert code == 1 and out.startswith("FAIL")
+
+
+def test_invalid_layout_in_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "two-carry-ins.qc"
+    bad.write_text("reg A 1 input-a\nreg Y 1 carry-in\nreg Y2 1 carry-in\n"
+                   "not A[0]\n")
+    code, _, err = run(capsys, "stats", str(bad))
+    assert code == 3 and "line 3:" in err and "carry-in" in err
+
+
+@pytest.mark.parametrize("header", [
+    "# variant=add-oop n=2\nreg B 2 input-b\nreg Z 3 output\n",  # no A
+    "# variant=no-such n=2\nreg A 2 input-a\nreg B 2 input-b\n",
+])
+@pytest.mark.parametrize("mode", [["--a", "1", "--b", "1"], ["--exhaustive"]])
+def test_sim_rejects_a_file_the_variant_cannot_run(tmp_path, capsys, header,
+                                                   mode):
+    path = tmp_path / "odd.qc"
+    path.write_text(header + "cnot B[0] B[1]\n")
+    code, _, err = run(capsys, "sim", str(path), *mode)
+    assert code == 2 and err.startswith("error:")

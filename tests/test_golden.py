@@ -1,0 +1,60 @@
+"""Golden digests: every variant emits exactly the pinned gate list.
+
+``golden_digests.json`` maps ``"variant/n"`` to the SHA-256 of
+``emit_native(build_variant(variant, n))`` for the width grid and for every
+valid width from 1 to 6, below the range where the closed forms hold.  The
+table was made from the generators before their IR was reworked, so a
+refactor or optimisation that changes any gate, its order, a register or a
+barrier fails here.  Regenerate it only on purpose, from the repository
+root::
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+from conftest import GRID, native_digest, valid_small_widths
+from qcla import build_variant
+from qcla.adders import VARIANTS
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+SMALL_TOP = 6
+
+
+def small_pairs() -> list[tuple[str, int]]:
+    return [(v, n) for v in VARIANTS for n in valid_small_widths(v, SMALL_TOP)]
+
+
+def load() -> dict[str, str]:
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_grid_digests_match(grid_sweep):
+    golden = load()
+    assert len(grid_sweep.digests) == len(VARIANTS) * len(GRID)
+    bad = [key for key, digest in grid_sweep.digests.items()
+           if golden[f"{key[0]}/{key[1]}"] != digest]
+    assert not bad, f"circuits differ from the golden digests: {bad[:10]}"
+
+
+def test_small_width_digests_match():
+    golden = load()
+    bad = [(v, n) for v, n in small_pairs()
+           if golden[f"{v}/{n}"] != native_digest(build_variant(v, n))]
+    assert not bad, f"circuits differ from the golden digests: {bad}"
+
+
+def test_table_covers_exactly_the_checked_pairs():
+    pairs = small_pairs() + [(v, n) for v in VARIANTS for n in GRID]
+    assert sorted(load()) == sorted(f"{v}/{n}" for v, n in pairs)
+
+
+if __name__ == "__main__":
+    table = {f"{v}/{n}": native_digest(build_variant(v, n))
+             for v, n in small_pairs() + [(v, n) for v in VARIANTS
+                                          for n in GRID]}
+    lines = [f"{json.dumps(k)}: {json.dumps(d)}" for k, d in table.items()]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"wrote {len(table)} digests to {GOLDEN}")

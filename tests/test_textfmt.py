@@ -63,6 +63,7 @@ def test_barrier_round_trip_positions():
     ("reg A 2 input-a\ncnot A[0] A[0]", "must be distinct"),
     ("reg A 2 input-a\nbarrier", "exactly one label"),
     ("reg A 2 input-a\nnot A[0]\nreg B 2 input-b", "after first gate"),
+    ("reg Y 1 carry-in\nreg Y2 1 carry-in", "carry-in"),
 ])
 def test_strict_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
