@@ -12,18 +12,27 @@ Variants: plain and in-place addition, addition mod ``2^n``, addition mod
 ``2^n - 1`` (end-around carry, in both representations of zero),
 subtraction, and comparison -- each with or without an incoming carry where
 that combination is defined.
+
+Three shared pieces build the adders:
+
+* the *position map* (``_positions``): an incoming carry ``y`` turns an
+  adder into the same adder one position wider on the doubled operands
+  ``2a + y`` and ``2b + y``, so tree position ``i`` reads register bit
+  ``i - lo`` with ``lo = 1``; ``_carry_homes`` places each in-place carry
+  (``Y`` itself for position 1, ``Z[0]`` for a carry-out, ``X`` otherwise);
+* the *out-of-place body* (``_out_of_place``): generate bits into ``Z``,
+  propagate bits onto ``B``, the carry tree, the sum folded into ``Z``;
+* the *in-place skeleton* (``_in_place``), in the paper's step order:
+  init, forward tree, sum into ``B``, negate, fix-up + reversed tree,
+  fix-up + generate erase, negate.  The second tree runs on ``A`` and the
+  complemented sum, so it uncomputes the carries the first one wrote.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .carry import (
-    AncillaMap,
-    PaddedRounds,
-    interval_slot_count,
-    network_gates,
-)
+from .carry import PaddedRounds, WireFn, interval_slot_count, network_gates
 from .core import (
     Barrier,
     Circuit,
@@ -79,14 +88,9 @@ class AdderRequest:
 
     @property
     def variant_id(self) -> str:
-        if self.function == "compare":
-            return "compare-ic" if self.incoming_carry else "compare"
-        if self.function == "add-mersenne":
-            place = "ip" if self.in_place else "oop"
-            return f"mersenne-{place}-{self.zero_rep}"
-        base = {"add": "add", "add-mod2n": "add-mod2n", "subtract": "sub"}
-        vid = f"{base[self.function]}-{'ip' if self.in_place else 'oop'}"
-        return vid + ("-ic" if self.incoming_carry else "")
+        fields = (self.function, self.in_place, self.incoming_carry,
+                  self.zero_rep)
+        return next(vid for vid, f in _VARIANT_FIELDS.items() if f == fields)
 
 
 def _seal(copies: list[Gate], block: list[Gate]) -> tuple[list[Gate], list[Gate]]:
@@ -155,8 +159,86 @@ def _bw(i: int) -> Wire:
     return Wire("B", i)
 
 
+def _positions(incoming_carry: bool) -> tuple[WireFn, WireFn, int]:
+    """``(aw, bw, lo)``: tree position ``i`` reads register bit ``i - lo``.
+
+    With an incoming carry ``lo = 1`` and position 0 is the carry itself.
+    """
+    if not incoming_carry:
+        return _aw, _bw, 0
+    return (lambda i: Wire("A", i - 1)), (lambda i: Wire("B", i - 1)), 1
+
+
+def _carry_homes(lo: int, out: int | None = None) -> WireFn:
+    """Carry position -> wire for the in-place forms: ``Y[0]`` holds the
+    position-1 carry when ``lo = 1`` (it is only ever read), ``Z[0]`` the
+    carry-out at position ``out``, and ``X[j - 1 - lo]`` the others."""
+
+    def gw(j: int) -> Wire:
+        if lo and j == 1:
+            return Wire("Y", 0)
+        return Wire("Z", 0) if j == out else Wire("X", j - 1 - lo)
+    return gw
+
+
+def _out_of_place(n: int, w: int, incoming_carry: bool,
+                  top: tuple[Gate, ...] = ()) -> Circuit:
+    """``Z[0..w]`` = the low ``w`` sum bits and the carry into bit ``w``,
+    then the ``top`` gates.
+
+    Generate bits go to ``Z``, propagate bits onto ``B``, the width-``w``
+    tree (``w + 1`` on doubled operands, where the seed CNOT from ``Y``
+    replaces the position-0 Toffoli) turns ``Z`` into carries, and
+    ``B`` is folded in as the sum and restored.
+    """
+    aw, bw, lo = _positions(incoming_carry)
+    m = w + lo  # carry-tree width
+    gw = lambda j: Wire("Z", j - lo)
+    gates = [cnot(Wire("Y", 0), Wire("Z", 0), "init")] if lo else []
+    gates += [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, m)]
+    gates += [cnot(aw(i), bw(i), "init") for i in range(1, m)]
+    gates += network_gates(m, lambda s: Wire("X", s), gw, bw)
+    gates += [cnot(_bw(i), Wire("Z", i), "sum") for i in range(w)]
+    if w and not lo:
+        gates.append(cnot(_aw(0), Wire("Z", 0), "fixup"))
+    gates += top
+    gates += [cnot(aw(i), bw(i), "fixup") for i in range(1, m)]
+    layout = _layout(n, w + 1, interval_slot_count(m), incoming_carry)
+    return Circuit(layout, gates, _phase_barriers(gates))
+
+
+def _in_place(layout: RegisterLayout, incoming_carry: bool, gw: WireFn,
+              width: int, fwd: list[Gate], back: list[Gate],
+              sums: range, erase: range, fixes: range) -> Circuit:
+    """The in-place skeleton: ``B`` becomes the sum, carries are erased.
+
+    Positions ``lo..width-1`` write their generate bits to their carry
+    wires ``gw(i + 1)`` and every register position its propagate bit onto
+    ``B``; ``fwd`` turns the generate bits into carries, which ``sums``
+    fold into ``B``.  Negating the ``erase`` positions of ``B`` leaves
+    ``A`` and the complemented sum, on which ``back`` (reversed) and the
+    ``erase`` Toffolis run the carry computation backwards; the ``fixes``
+    CNOTs put that computation's propagate bits on ``B`` for the reversed
+    tree and take them off again.
+    """
+    aw, bw, lo = _positions(incoming_carry)
+    n = layout["A"].size
+    gates = [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, width)]
+    gates += [cnot(aw(i), bw(i), "init") for i in range(lo, lo + n)]
+    gates += fwd
+    gates += [cnot(gw(i), bw(i), "sum") for i in sums]
+    gates += [not_(bw(i), "negate") for i in erase]
+    fix1, rev = _seal([cnot(aw(i), bw(i), "fixup") for i in fixes],
+                      retag(reversed(back), "Pinv"))
+    fix2, gen = _seal([cnot(aw(i), bw(i), "fixup") for i in fixes],
+                      [ccx(aw(i), bw(i), gw(i + 1), "fixup") for i in erase])
+    gates += fix1 + rev + fix2 + gen
+    gates += [not_(bw(i), "negate") for i in erase]
+    return Circuit(layout, gates, _phase_barriers(gates))
+
+
 # ---------------------------------------------------------------------------
-# Out-of-place addition
+# Addition
 
 
 def gen_add_oop(n: int, incoming_carry: bool = False) -> Circuit:
@@ -167,36 +249,7 @@ def gen_add_oop(n: int, incoming_carry: bool = False) -> Circuit:
     operands ``2a + y`` and ``2b + y`` with the (always zero) low sum bit
     elided, which trades the position-0 Toffoli for a carry-seed CNOT.
     """
-    m = n + 1 if incoming_carry else n  # carry-tree width
-    gates: list[Gate] = []
-    if incoming_carry:
-        gates.append(cnot(Wire("Y", 0), Wire("Z", 0), "init"))
-    # generate bits, then propagate bits in place on B
-    if not incoming_carry:
-        gates += [ccx(_aw(i), _bw(i), Wire("Z", i + 1), "init") for i in range(n)]
-        gates += [cnot(_aw(i), _bw(i), "init") for i in range(1, n)]
-    else:
-        gates += [ccx(_aw(i), _bw(i), Wire("Z", i + 1), "init") for i in range(n)]
-        gates += [cnot(_aw(i), _bw(i), "init") for i in range(n)]
-    amap = AncillaMap(m, lambda i: Wire("X", i))
-    gw = (lambda j: Wire("Z", j)) if not incoming_carry else (
-        lambda j: Wire("Z", j - 1))
-    pw = (lambda i: _bw(i)) if not incoming_carry else (lambda i: _bw(i - 1))
-    gates += network_gates(m, amap, gw, pw)
-    # fold propagate bits into the carries to produce the sum
-    if not incoming_carry:
-        gates += [cnot(_bw(i), Wire("Z", i), "sum") for i in range(n)]
-        gates += [cnot(_aw(0), Wire("Z", 0), "fixup")]
-        gates += [cnot(_aw(i), _bw(i), "fixup") for i in range(1, n)]
-    else:
-        gates += [cnot(_bw(i), Wire("Z", i), "sum") for i in range(n)]
-        gates += [cnot(_aw(i), _bw(i), "fixup") for i in range(n)]
-    layout = _layout(n, n + 1, amap.count, incoming_carry)
-    return Circuit(layout, gates, _phase_barriers(gates))
-
-
-# ---------------------------------------------------------------------------
-# In-place addition
+    return _out_of_place(n, n, incoming_carry)
 
 
 def gen_add_ip(n: int, incoming_carry: bool = False) -> Circuit:
@@ -208,49 +261,16 @@ def gen_add_ip(n: int, incoming_carry: bool = False) -> Circuit:
     the width-``n+1`` form on doubled operands; the position-1 carry wire is
     the carry-in ``Y`` itself (it is only ever read).
     """
-    m = n + 1 if incoming_carry else n
-    slots = interval_slot_count(m)
-    # scratch carry wires in X: positions 1..m-1, minus Y when it serves as
-    # the position-1 carry
-    ncarry = m - 2 if incoming_carry else m - 1
-    layout = _layout(n, 1, ncarry + slots, incoming_carry)
-
-    if not incoming_carry:
-        def gw(j: int) -> Wire:  # carry position -> wire
-            return Wire("Z", 0) if j == m else Wire("X", j - 1)
-        aw, bw = _aw, _bw
-        lo = 0
-    else:
-        def gw(j: int) -> Wire:
-            if j == 1:
-                return Wire("Y", 0)
-            return Wire("Z", 0) if j == m else Wire("X", j - 2)
-        aw = lambda i: _aw(i - 1)  # tree operand index -> register index
-        bw = lambda i: _bw(i - 1)
-        lo = 1
-
-    amap = AncillaMap(m, lambda i: Wire("X", ncarry + i))
-    amap_rev = AncillaMap(m - 1, lambda i: Wire("X", ncarry + i)) if m > 1 else amap
-
-    gates: list[Gate] = []
-    gates += [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, m)]
-    gates += [cnot(aw(i), bw(i), "init") for i in range(lo, m)]
-    gates += network_gates(m, amap, gw, bw)
-    gates += [cnot(gw(i), bw(i), "sum") for i in range(1, m)]
-    gates += [not_(bw(i), "negate") for i in range(lo, m - 1)]
-    fix1 = [cnot(aw(i), bw(i), "fixup") for i in range(1, m - 1)]
-    rev: list[Gate] = []
-    if m > 1:
-        fwd = network_gates(m - 1, amap_rev, gw, bw)
-        rev = retag(reversed(fwd), "Pinv")
-    fix1, rev = _seal(fix1, rev)
-    gates += fix1 + rev
-    fix2 = [cnot(aw(i), bw(i), "fixup") for i in range(1, m - 1)]
-    erase = [ccx(aw(i), bw(i), gw(i + 1), "fixup") for i in range(lo, m - 1)]
-    fix2, erase = _seal(fix2, erase)
-    gates += fix2 + erase
-    gates += [not_(bw(i), "negate") for i in range(lo, m - 1)]
-    return Circuit(layout, gates, _phase_barriers(gates))
+    _, bw, lo = _positions(incoming_carry)
+    m = n + lo
+    gw = _carry_homes(lo, m)
+    slot = lambda s: Wire("X", n - 1 + s)  # after the n - 1 scratch carries
+    layout = _layout(n, 1, n - 1 + interval_slot_count(m), incoming_carry)
+    return _in_place(layout, incoming_carry, gw, m,
+                     network_gates(m, slot, gw, bw),
+                     network_gates(m - 1, slot, gw, bw),
+                     sums=range(1, m), erase=range(lo, m - 1),
+                     fixes=range(1, m - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -266,84 +286,23 @@ def gen_add_mod2n(n: int, in_place: bool = False,
 
 
 def _gen_mod2n_oop(n: int, incoming_carry: bool) -> Circuit:
-    # Width-(n-1) adder producing Z[0..n-1] with Z[n-1] = c_{n-1}, then two
-    # CNOTs fold a_{n-1} and b_{n-1} into the top sum bit.  With an incoming
-    # carry: width-n seeded tree on doubled operands, same top-bit fold.
-    m = n if incoming_carry else n - 1  # carry-tree width
-    amap = AncillaMap(m, lambda i: Wire("X", i)) if m >= 1 else None
-    slots = amap.count if amap else 0
-    layout = _layout(n, n, slots, incoming_carry)
-    zw = lambda j: Wire("Z", j - 1) if incoming_carry else Wire("Z", j)
-    pw = (lambda i: _bw(i - 1)) if incoming_carry else _bw
-    gates: list[Gate] = []
-    if incoming_carry:
-        gates.append(cnot(Wire("Y", 0), Wire("Z", 0), "init"))
-        gates += [ccx(_aw(i - 1), _bw(i - 1), Wire("Z", i), "init")
-                  for i in range(1, m)]
-        gates += [cnot(_aw(i), _bw(i), "init") for i in range(0, m - 1)]
-    else:
-        gates += [ccx(_aw(i), _bw(i), Wire("Z", i + 1), "init")
-                  for i in range(m)]
-        gates += [cnot(_aw(i), _bw(i), "init") for i in range(1, m)]
-    if m >= 1:
-        gates += network_gates(m, amap, zw, pw)
-    if incoming_carry:
-        gates += [cnot(_bw(i), Wire("Z", i), "sum") for i in range(n - 1)]
-    else:
-        gates += [cnot(_bw(i), Wire("Z", i), "sum") for i in range(m)]
-        if m >= 1:
-            gates.append(cnot(_aw(0), Wire("Z", 0), "fixup"))
-    # top sum bit: c_{n-1} XOR a_{n-1} XOR b_{n-1}
-    gates.append(cnot(_aw(n - 1), Wire("Z", n - 1), "sum"))
-    gates.append(cnot(_bw(n - 1), Wire("Z", n - 1), "sum"))
-    if incoming_carry:
-        gates += [cnot(_aw(i), _bw(i), "fixup") for i in range(0, m - 1)]
-    else:
-        gates += [cnot(_aw(i), _bw(i), "fixup") for i in range(1, m)]
-    return Circuit(layout, gates, _phase_barriers(gates))
+    # The n - 1 low sum bits and Z[n-1] = c_{n-1}, then two CNOTs fold
+    # a_{n-1} and b_{n-1} into the top sum bit.
+    top = tuple(cnot(reg(n - 1), Wire("Z", n - 1), "sum") for reg in (_aw, _bw))
+    return _out_of_place(n, n - 1, incoming_carry, top)
 
 
 def _gen_mod2n_ip(n: int, incoming_carry: bool) -> Circuit:
     # In-place form with both carry trees of width n-1 (or width n on the
     # doubled operands when a carry comes in); no carry-out wire at all.
-    m = n if incoming_carry else n - 1  # width of both carry trees
-    slots = interval_slot_count(m) if m >= 1 else 0
-
-    if not incoming_carry:
-        gw = lambda j: Wire("X", j - 1)
-        aw, bw = _aw, _bw
-        lo = 0
-        ncarry = m
-    else:
-        def gw(j: int) -> Wire:
-            return Wire("Y", 0) if j == 1 else Wire("X", j - 2)
-        aw = lambda i: _aw(i - 1)
-        bw = lambda i: _bw(i - 1)
-        lo = 1
-        ncarry = m - 1
-    layout = _layout(n, 0, ncarry + slots, incoming_carry)
-    amap = AncillaMap(m, lambda i: Wire("X", ncarry + i)) if m >= 1 else None
-
-    gates: list[Gate] = []
-    gates += [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, m)]
-    gates += [cnot(aw(i), bw(i), "init") for i in range(lo, m + 1)]
-    if m >= 1:
-        gates += network_gates(m, amap, gw, bw)
-    gates += [cnot(gw(i), bw(i), "sum") for i in range(1, m + 1)]
-    gates += [not_(bw(i), "negate") for i in range(lo, m)]
-    fix1 = [cnot(aw(i), bw(i), "fixup") for i in range(1, m)]
-    rev: list[Gate] = []
-    if m >= 1:
-        fwd = network_gates(m, amap, gw, bw)
-        rev = retag(reversed(fwd), "Pinv")
-    fix1, rev = _seal(fix1, rev)
-    gates += fix1 + rev
-    fix2 = [cnot(aw(i), bw(i), "fixup") for i in range(1, m)]
-    erase = [ccx(aw(i), bw(i), gw(i + 1), "fixup") for i in range(lo, m)]
-    fix2, erase = _seal(fix2, erase)
-    gates += fix2 + erase
-    gates += [not_(bw(i), "negate") for i in range(lo, m)]
-    return Circuit(layout, gates, _phase_barriers(gates))
+    _, bw, lo = _positions(incoming_carry)
+    m = n - 1 + lo  # width of both carry trees
+    gw = _carry_homes(lo)
+    layout = _layout(n, 0, n - 1 + interval_slot_count(m), incoming_carry)
+    tree = network_gates(m, lambda s: Wire("X", n - 1 + s), gw, bw)
+    return _in_place(layout, incoming_carry, gw, m, tree, tree,
+                     sums=range(1, m + 1), erase=range(lo, m),
+                     fixes=range(1, m))
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +340,11 @@ def gen_compare(n: int, incoming_carry: bool = False) -> Circuit:
     uncomputes everything else.  With an incoming carry the width-``n+1``
     doubled-operand form is used; position 1's carry wire is ``Y`` itself.
     """
-    m = n + 1 if incoming_carry else n  # carry positions 1..m
-    ncarry = m - 2 if incoming_carry else m - 1
-    if not incoming_carry:
-        def gw(j: int) -> Wire:
-            return Wire("Z", 0) if j == m else Wire("X", j - 1)
-        aw, bw = _aw, _bw
-        lo = 0
-    else:
-        def gw(j: int) -> Wire:
-            if j == 1:
-                return Wire("Y", 0)
-            return Wire("Z", 0) if j == m else Wire("X", j - 2)
-        aw = lambda i: _aw(i - 1)
-        bw = lambda i: _bw(i - 1)
-        lo = 1
-    rounds = PaddedRounds(m, gw, bw,
-                          lambda i: Wire("X", ncarry + i), wrap=False)
-    layout = _layout(n, 1, ncarry + rounds.slot_count, incoming_carry)
+    aw, bw, lo = _positions(incoming_carry)
+    m = n + lo  # carry positions 1..m
+    gw = _carry_homes(lo, m)
+    rounds = PaddedRounds(m, gw, bw, lambda s: Wire("X", n - 1 + s))
+    layout = _layout(n, 1, n - 1 + rounds.slot_count, incoming_carry)
 
     gates: list[Gate] = [not_(_aw(i), "negate") for i in range(n)]
     gates += [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, m)]
@@ -480,37 +426,20 @@ def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: Wire,
 def _gen_mersenne_ip(n: int, zero_rep: str) -> Circuit:
     # Forward end-around addition in the requested representation, then the
     # carries are erased by inverting the *other* representation's rounds on
-    # A and the complemented sum.
+    # A and the complemented sum.  Carry homes are X[0..n-1]; position n
+    # wraps to X[0], which is also c_0, so every position sums and erases.
 
-    def gw(j: int) -> Wire:  # carry homes X[0..n-1], position n wraps to X[0]
+    def gw(j: int) -> Wire:
         return Wire("X", j % n)
 
-    def ch(i: int) -> Wire:  # carry c_i
-        return gw(n if i == 0 else i)
-
-    def make_rounds() -> PaddedRounds:
-        return PaddedRounds(n, gw, _bw, lambda i: Wire("X", n + i), wrap=True)
-
-    fwd_rounds = make_rounds()
-    layout = _layout(n, 0, n + fwd_rounds.slot_count, False)
+    rounds = PaddedRounds(n, gw, _bw, lambda i: Wire("X", n + i), wrap=True)
+    layout = _layout(n, 0, n + rounds.slot_count, False)
     other = "zeros" if zero_rep == "ones" else "ones"
-    gates: list[Gate] = []
-    gates += [ccx(_aw(i), _bw(i), gw(i + 1), "init") for i in range(n)]
-    gates += [cnot(_aw(i), _bw(i), "init") for i in range(n)]
-    gates += _mersenne_rounds(fwd_rounds, gw(n), zero_rep)
-    gates += [cnot(ch(i), _bw(i), "sum") for i in range(n)]
-    gates += [not_(_bw(i), "negate") for i in range(n)]
-    fix1 = [cnot(_aw(i), _bw(i), "fixup") for i in range(n)]
-    fwd = _mersenne_rounds(make_rounds(), gw(n), other)
-    rev = retag(reversed(fwd), "Pinv")
-    fix1, rev = _seal(fix1, rev)
-    gates += fix1 + rev
-    fix2 = [cnot(_aw(i), _bw(i), "fixup") for i in range(n)]
-    erase = [ccx(_aw(i), _bw(i), gw(i + 1), "fixup") for i in range(n)]
-    fix2, erase = _seal(fix2, erase)
-    gates += fix2 + erase
-    gates += [not_(_bw(i), "negate") for i in range(n)]
-    return Circuit(layout, gates, _phase_barriers(gates))
+    fwd = _mersenne_rounds(rounds, gw(n), zero_rep)
+    back = _mersenne_rounds(rounds, gw(n), other)
+    every = range(n)
+    return _in_place(layout, False, gw, n, fwd, back,
+                     sums=every, erase=every, fixes=every)
 
 
 # ---------------------------------------------------------------------------

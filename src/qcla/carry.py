@@ -59,122 +59,36 @@ def interval_slot_count(n: int) -> int:
     return n - n.bit_count() - floor_log2(n) if n >= 1 else 0
 
 
-class AncillaMap:
-    """Deterministic assignment of interval slots ``(t, m)`` to wires.
-
-    Slots are laid out ``t`` ascending, then ``m`` ascending, matching the
-    round structure of an unpadded width-``n`` tree: ``1 <= m < floor(n/2^t)``
-    for ``1 <= t <= floor(log2 n) - 1``.
-    """
-
-    def __init__(self, n: int, wires: Callable[[int], Wire]):
-        if n < 1:
-            raise CircuitError(f"width must be >= 1, got {n}")
-        self.n = n
-        self._slots: dict[tuple[int, int], Wire] = {}
-        idx = 0
-        for t in range(1, floor_log2(n)):
-            for m in range(1, n >> t):
-                self._slots[(t, m)] = wires(idx)
-                idx += 1
-        self.count = idx
-
-    def wire(self, t: int, m: int) -> Wire:
-        try:
-            return self._slots[(t, m)]
-        except KeyError:
-            raise CircuitError(f"no interval slot for (t={t}, m={m})") from None
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._slots
-
-
-def max_fanout_round(n: int) -> int:
-    """Largest C-round index ``t`` with a nonempty gate list (0 if none).
-
-    Equals the largest ``t >= 1`` with ``3 * 2^(t-1) <= n``.
-    """
-    t = 0
-    while 3 << t <= n:
-        t += 1
-    return t
-
-
-def round_gates(
-    kind: str,
-    t: int,
-    n: int,
-    ancilla_map: AncillaMap,
-    gw: WireFn | None = None,
-    pw: WireFn | None = None,
-    phase: str | None = None,
-) -> list[Gate]:
-    """Gates of one round of the unpadded width-``n`` carry tree.
-
-    ``kind`` is one of ``"P"``, ``"G"``, ``"C"``.  ``gw(j)`` maps carry
-    position ``j`` (1-based) to a wire; ``pw(i)`` maps position-propagate
-    index ``i`` to a wire.  Defaults address registers ``Z`` and ``B``.
-    Out-of-range ``t`` yields an empty list.
-    """
-    if n < 1:
-        raise CircuitError(f"width must be >= 1, got {n}")
-    if gw is None:
-        gw = lambda j: Wire("Z", j - 1)
-    if pw is None:
-        pw = lambda i: Wire("B", i)
-
-    def p_at(tt: int, m: int) -> Wire:
-        return pw(m) if tt == 0 else ancilla_map.wire(tt, m)
-
-    gates: list[Gate] = []
-    if kind == "P":
-        if 1 <= t <= floor_log2(n) - 1:
-            for m in range(1, n >> t):
-                gates.append(
-                    ccx(p_at(t - 1, 2 * m), p_at(t - 1, 2 * m + 1),
-                        ancilla_map.wire(t, m), phase)
-                )
-    elif kind == "G":
-        if 1 <= t <= floor_log2(n):
-            for m in range(n >> t):
-                gates.append(
-                    ccx(gw((m << t) + (1 << (t - 1))), p_at(t - 1, 2 * m + 1),
-                        gw((m << t) + (1 << t)), phase)
-                )
-    elif kind == "C":
-        if 1 <= t <= max_fanout_round(n):
-            for m in range(1, ((n - (1 << (t - 1))) >> t) + 1):
-                gates.append(
-                    ccx(gw(m << t), p_at(t - 1, 2 * m),
-                        gw((m << t) + (1 << (t - 1))), phase)
-                )
-    else:
-        raise CircuitError(f"unknown round kind {kind!r}")
-    return gates
-
-
-def network_gates(
-    n: int,
-    ancilla_map: AncillaMap,
-    gw: WireFn | None = None,
-    pw: WireFn | None = None,
-) -> list[Gate]:
+def network_gates(n: int, slot: WireFn, gw: WireFn, pw: WireFn) -> list[Gate]:
     """The full carry tree: P-rounds, G-rounds, C-rounds, inverse P-rounds.
 
-    Gates come back in dependency-level order (see ``levelize``), which
-    overlaps rounds of different families -- e.g. P-round ``t + 1`` runs
-    beside G-round ``t`` -- so that in-order slicing reaches the tree's
-    true depth of ``floor(log n) + floor(log(n/3)) + 3``.
+    ``gw(j)`` maps carry position ``j`` (1-based) to a wire, ``pw(i)`` maps
+    position-propagate index ``i`` to a wire, and ``slot(s)`` is the wire
+    of the ``s``-th interval slot ``(t, m)``, ``1 <= m < floor(n/2^t)`` for
+    ``1 <= t < floor(log2 n)``, numbered ``t`` ascending, then ``m``
+    ascending.  Width 0 is the empty tree.  Gates come back in
+    dependency-level order (see ``levelize``), which overlaps rounds of
+    different families -- e.g. P-round ``t + 1`` runs beside G-round ``t``
+    -- so that in-order slicing reaches the tree's true depth of
+    ``floor(log n) + floor(log(n/3)) + 3``.
     """
-    p_gates: list[Gate] = []
-    for t in range(1, floor_log2(n)):
-        p_gates += round_gates("P", t, n, ancilla_map, gw, pw, phase="P")
-    g_gates: list[Gate] = []
-    for t in range(1, floor_log2(n) + 1):
-        g_gates += round_gates("G", t, n, ancilla_map, gw, pw, phase="G")
-    c_gates: list[Gate] = []
-    for t in range(max_fanout_round(n), 0, -1):
-        c_gates += round_gates("C", t, n, ancilla_map, gw, pw, phase="C")
+    k = n.bit_length() - 1  # floor(log2 n)
+    cells = [(t, m) for t in range(1, k) for m in range(1, n >> t)]
+    ancilla = {cell: slot(s) for s, cell in enumerate(cells)}
+
+    def p_at(t: int, m: int) -> Wire:
+        return pw(m) if t == 0 else ancilla[t, m]
+
+    p_gates = [ccx(p_at(t - 1, 2 * m), p_at(t - 1, 2 * m + 1),
+                   ancilla[t, m], "P") for t, m in cells]
+    g_gates = [ccx(gw((m << t) + (1 << (t - 1))), p_at(t - 1, 2 * m + 1),
+                   gw((m << t) + (1 << t)), "G")
+               for t in range(1, k + 1) for m in range(n >> t)]
+    # the largest C-round t has 3 * 2^(t-1) <= n
+    c_gates = [ccx(gw(m << t), p_at(t - 1, 2 * m),
+                   gw((m << t) + (1 << (t - 1))), "C")
+               for t in range((n // 3).bit_length(), 0, -1)
+               for m in range(1, ((n - (1 << (t - 1))) >> t) + 1)]
     pinv = retag(reversed(p_gates), "Pinv")
     return levelize(p_gates + g_gates + c_gates + pinv)
 
@@ -212,8 +126,8 @@ def build_carry_network(spec: CarryNetworkSpec) -> Circuit:
             Register("X", interval_slot_count(n), Role.ANCILLA),
         ]
     )
-    amap = AncillaMap(n, lambda i: Wire("X", i))
-    gates = network_gates(n, amap)
+    gates = network_gates(n, lambda s: Wire("X", s),
+                          lambda j: Wire("Z", j - 1), lambda i: Wire("B", i))
     # rounds overlap in the emitted order, so each barrier marks where its
     # round family first contributes; phase tags identify the members
     barriers = []

@@ -61,6 +61,17 @@ class FormulaSet:
         d = self.depth(n)
         return max(d, self.depth_alt(n)) if self.depth_alt else d
 
+    def depth_note(self, n: int, measured: int) -> str | None:
+        """Why a depth within ``depth_bound`` is still worth a remark: it
+        exceeds the lower of two differing published expressions."""
+        if self.depth_alt is None:
+            return None
+        lo, hi = sorted((self.depth(n), self.depth_alt(n)))
+        if lo != hi and measured > lo:
+            return (f"depth {measured} exceeds the lower of the two "
+                    f"published formulas ({lo}); bound used: {hi}")
+        return None
+
 
 def _k(n: int) -> int:
     return floor_log2(n)
@@ -271,13 +282,15 @@ def verify_family(variant_id: str, ns: Iterable[int]) -> list[VerifyResult]:
     """Measure circuits across a width range and diff against the formulas.
 
     Count fields require equality; the depth field requires measured depth
-    at or below the formula bound.
+    at or below the formula bound.  Widths below ``FORMULA_VALID_FROM``
+    are skipped: the closed forms are not exact there, and some are not
+    even defined.
     """
     results = []
     for n in ns:
-        values = formula_eval(variant_id, n)
-        if not values["exact"]:
+        if n < FORMULA_VALID_FROM:
             continue
+        values = formula_eval(variant_id, n)
         report = resource_report(build_variant(variant_id, n))
         for field, measured in (
             ("toffoli", report.toffoli),

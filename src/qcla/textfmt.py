@@ -36,7 +36,7 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-_WIRE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
+_WIRE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\]$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -131,7 +131,7 @@ def parse_native(text: str) -> Circuit:
                 raise ParseError(lineno, f"bad register name {name!r}")
             if name in sizes:
                 raise ParseError(lineno, f"duplicate register {name!r}")
-            if not size_s.isdigit():
+            if not (size_s.isascii() and size_s.isdigit()):
                 raise ParseError(lineno, f"bad register size {size_s!r}")
             if role_s not in _ROLES:
                 raise ParseError(lineno, f"unknown role {role_s!r}")

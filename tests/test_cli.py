@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcla import build_variant, resource_report
+from qcla.adders import VARIANTS
 from qcla.cli import main
 
 
@@ -118,6 +121,47 @@ def test_verify_family_alias_and_exhaustive_lines(capsys):
     code, out, _ = run(capsys, "verify", "--family", "add", "--range", "7..8")
     assert code == 0
     assert "add-oop n=7 exhaustive: ok" in out
+
+
+@pytest.mark.parametrize("family,lo", [
+    ("add-ip", 1),  # formula_eval at n = 1 once died in floor_log2, exit 1
+    ("add-oop", 1),  # log_third below n = 3 once ended in a usage error
+    ("add-ip", 3),
+])
+def test_verify_below_formula_validity(capsys, family, lo):
+    code, out, err = run(capsys, "verify", "--family", family,
+                         "--range", f"{lo}..6")
+    assert code == 0 and err == ""
+    for n in range(lo, 7):
+        assert (f"{family} n={n} resources: not checked (closed forms exact "
+                f"from n=7)") in out
+        assert f"{family} n={n} exhaustive: ok" in out
+
+
+def test_verify_carry_network_below_validity_says_so(capsys):
+    # this range used to print nothing and exit 0
+    code, out, _ = run(capsys, "verify", "--family", "carry-network",
+                       "--range", "3..6")
+    assert code == 0
+    assert out.splitlines() == [
+        f"carry-network n={n} resources: not checked (closed forms exact "
+        f"from n=7)" for n in range(3, 7)]
+
+
+def test_verify_names_a_width_without_a_circuit(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "compare",
+                       "--range", "1..2")
+    assert code == 0
+    assert "compare n=1 exhaustive: not checked (compare requires n >= 2" in out
+    assert "compare n=2 exhaustive: ok" in out
+
+
+@given(st.sampled_from(VARIANTS), st.integers(1, 9), st.integers(0, 8))
+@settings(max_examples=25, deadline=None)
+def test_verify_exit_code_is_documented(vid, lo, span):
+    code = main(["verify", "--family", vid,
+                 "--range", f"{lo}..{min(lo + span, 9)}"])
+    assert code in (0, 1, 2, 3)
 
 
 def test_verify_unknown_family(capsys):

@@ -45,6 +45,26 @@ def test_verify_family_skips_below_validity():
     assert verify_family("add-oop", [4, 5]) == []
 
 
+def test_verify_family_skips_widths_where_formulas_are_undefined():
+    from qcla.adders import VARIANTS
+
+    # log_third and floor_log2 of n - 1 are undefined at the smallest widths
+    for vid in VARIANTS:
+        assert verify_family(vid, range(1, 7)) == []
+
+
+def test_depth_note_fires_only_above_the_lower_formula():
+    compare = FORMULAS["compare"]
+    # at n = 8 the two published depths differ: 2*3 + 5 and 2*2 + 5
+    assert (compare.depth(8), compare.depth_alt(8)) == (11, 9)
+    assert compare.depth_note(8, 10) == (
+        "depth 10 exceeds the lower of the two published formulas (9); "
+        "bound used: 11")
+    assert compare.depth_note(8, 9) is None
+    assert compare.depth_note(9, 11) is None  # both formulas give 11
+    assert FORMULAS["add-oop"].depth_note(8, 99) is None  # one formula only
+
+
 def test_every_variant_has_formulas():
     from qcla.adders import VARIANTS
 

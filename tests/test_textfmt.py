@@ -1,7 +1,12 @@
 """Native circuit text format and the OpenQASM exporter."""
 
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import valid_small_widths
 from qcla import (
     ParseError,
     build_variant,
@@ -54,6 +59,8 @@ def test_barrier_round_trip_positions():
     ("frobnicate A[0]", "unknown directive"),
     ("reg A 2\ncnot A[0] A[1]", "reg needs"),
     ("reg A two input-a", "bad register size"),
+    ("reg A \u00b2 input-a", "bad register size"),  # isdigit, but not int
+    ("reg A 4 input-a\nnot A[\u0663]", "malformed wire"),
     ("reg A 2 scratch", "unknown role"),
     ("reg A 2 input-a\nreg A 2 input-b", "duplicate register"),
     ("reg A 2 input-a\nnot B[0]", "undeclared register"),
@@ -95,3 +102,38 @@ def test_qasm_export_shape():
 def test_qasm_export_skips_empty_registers():
     c = build_variant("add-oop", 4)  # X register has size 0 at this width
     assert "qreg x[0];" not in emit_qasm(c)
+
+
+SMALL = [(v, n) for v in VARIANTS for n in valid_small_widths(v, 6)]
+# pieces of the format, so that mutations reach past the first token check
+TOKENS = ["reg ", "not ", "cnot ", "ccx ", "barrier ", "A[", "B[", "X[",
+          "Y[", "Z[", "]", "0", "1", "99999", " ", "\n", "#", "-1",
+          "input-a", "carry-in", "ancilla", "output"]
+
+
+@lru_cache(maxsize=None)
+def small_text(vid: str, n: int) -> str:
+    return emit_native(build_variant(vid, n))
+
+
+@given(st.sampled_from(SMALL))
+@settings(max_examples=40, deadline=None)
+def test_emit_parse_is_a_fixed_point(pair):
+    text = small_text(*pair)
+    assert emit_native(parse_native(text)) == text
+
+
+@given(st.sampled_from(SMALL), st.data())
+@settings(max_examples=100, deadline=None)
+def test_parse_raises_only_parse_error_on_mutated_text(pair, data):
+    text = small_text(*pair)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 12)))
+        piece = data.draw(st.one_of(st.sampled_from(TOKENS),
+                                    st.text(max_size=4)))
+        text = text[:i] + piece + text[j:]
+    try:
+        parse_native(text)
+    except ParseError:
+        pass
