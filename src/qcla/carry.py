@@ -44,13 +44,13 @@ WireFn = Callable[[int], Wire]
 
 def floor_log2(n: int) -> int:
     if n < 1:
-        raise ValueError(f"floor_log2 needs n >= 1, got {n}")
+        raise CircuitError(f"floor_log2 needs n >= 1, got {n}")
     return n.bit_length() - 1
 
 
 def ceil_log2(n: int) -> int:
     if n < 1:
-        raise ValueError(f"ceil_log2 needs n >= 1, got {n}")
+        raise CircuitError(f"ceil_log2 needs n >= 1, got {n}")
     return (n - 1).bit_length()
 
 

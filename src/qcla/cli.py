@@ -13,13 +13,13 @@ import json
 import re
 import sys
 
-from .adders import VARIANTS, AdderRequest, build, build_variant, request_for
+from .adders import VARIANTS, AdderRequest, build, build_variant
 from .core import Circuit, CircuitError, resource_report
 from .formulas import FORMULA_VALID_FROM, FORMULAS, verify_family
 from .sim import (
+    check_inputs,
     exhaustive_check,
     expected_state,
-    input_registers,
     run_operands,
     uses_carry_in,
 )
@@ -124,11 +124,11 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if vid not in VARIANTS:
         print(f"error: unknown variant {vid!r}", file=sys.stderr)
         return EXIT_USAGE
-    for _, reg in input_registers(vid):
-        if reg not in circuit.layout:
-            print(f"error: {vid} reads register {reg}, which the circuit "
-                  f"does not declare", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        check_inputs(circuit, vid, n)
+    except CircuitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.exhaustive:
         if n > 12:
@@ -213,21 +213,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
             note = FORMULAS[vid].depth_note(r.n, r.measured)
             if note:
                 print(f"note: {vid} n={r.n} {note}")
-    if vid != "carry-network":
-        for n in args.range:
-            if n > 8:
-                break
-            try:
-                request_for(vid, n)
-            except CircuitError as exc:
-                print(f"{vid} n={n} exhaustive: not checked ({exc})")
-                continue
-            cex = exhaustive_check(vid, n)
-            if cex is not None:
-                print(f"{vid} n={n} exhaustive: FAIL ({cex})")
-                status = EXIT_MISMATCH
-            else:
-                print(f"{vid} n={n} exhaustive: ok")
+    for n in args.range:
+        if n > 8:
+            break
+        try:
+            circuit = build_variant(vid, n)
+        except CircuitError as exc:
+            print(f"{vid} n={n} exhaustive: not checked ({exc})")
+            continue
+        cex = exhaustive_check(vid, n, circuit=circuit)
+        if cex is not None:
+            print(f"{vid} n={n} exhaustive: FAIL ({cex})")
+            status = EXIT_MISMATCH
+        else:
+            print(f"{vid} n={n} exhaustive: ok")
     return status
 
 

@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, exit codes, formats."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcla import build_variant, resource_report
+from qcla import build_variant, emit_native, resource_report
 from qcla.adders import VARIANTS
 from qcla.cli import main
 
@@ -139,13 +141,15 @@ def test_verify_below_formula_validity(capsys, family, lo):
 
 
 def test_verify_carry_network_below_validity_says_so(capsys):
-    # this range used to print nothing and exit 0
+    # this range used to print nothing and exit 0, then only the
+    # "not checked" lines, with no exhaustive check of the network
     code, out, _ = run(capsys, "verify", "--family", "carry-network",
                        "--range", "3..6")
     assert code == 0
     assert out.splitlines() == [
         f"carry-network n={n} resources: not checked (closed forms exact "
-        f"from n=7)" for n in range(3, 7)]
+        f"from n=7)" for n in range(3, 7)] + [
+        f"carry-network n={n} exhaustive: ok" for n in range(3, 7)]
 
 
 def test_verify_names_a_width_without_a_circuit(capsys):
@@ -191,6 +195,17 @@ def test_sim_exhaustive_checks_the_file_not_the_stamp(tmp_path, capsys):
     assert code == 1 and out.startswith("FAIL")
 
 
+def test_sim_exhaustive_fails_a_file_without_its_output(tmp_path, capsys):
+    # the diff once covered only the registers the file declares
+    path = gen_file(tmp_path, capsys, "a2.qc", "--circuit", "add", "--n", "2")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines
+                            if "Z[" not in l and not l.startswith("reg Z")))
+    code, out, _ = run(capsys, "sim", str(path), "--exhaustive")
+    assert code == 1
+    assert out == "FAIL: add-oop n=2: a=0 b=1: register Z = 0, expected 1\n"
+
+
 def test_invalid_layout_in_file_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "two-carry-ins.qc"
     bad.write_text("reg A 1 input-a\nreg Y 1 carry-in\nreg Y2 1 carry-in\n"
@@ -210,3 +225,88 @@ def test_sim_rejects_a_file_the_variant_cannot_run(tmp_path, capsys, header,
     path.write_text(header + "cnot B[0] B[1]\n")
     code, _, err = run(capsys, "sim", str(path), *mode)
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("stamp,mode", [
+    (2, ["--exhaustive"]),  # once passed on 16 of the 256 inputs
+    (9, ["--a", "300", "--b", "1"]),  # once a misleading mismatch, exit 1
+])
+def test_sim_rejects_a_width_stamp_the_registers_disagree_with(
+        tmp_path, capsys, stamp, mode):
+    path = gen_file(tmp_path, capsys, "a4.qc", "--circuit", "add", "--n", "4")
+    path.write_text(path.read_text().replace("n=4", f"n={stamp}", 1))
+    code, out, err = run(capsys, "sim", str(path), *mode)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: add-oop n={stamp} reads A[{stamp}]")
+
+
+def test_sim_rejects_an_empty_carry_in(tmp_path, capsys):
+    path = tmp_path / "y0.qc"
+    path.write_text("# variant=add-oop-ic n=1\nreg A 1 input-a\n"
+                    "reg B 1 input-b\nreg Y 0 carry-in\n")
+    code, _, err = run(capsys, "sim", str(path), "--exhaustive")
+    assert code == 2 and "reads Y[1], but the circuit declares Y[0]" in err
+
+
+def exit_code(argv: list[str]) -> int:
+    """``main``'s exit code; argparse exits through ``SystemExit``, and any
+    other exception fails the test with its traceback."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+CIRCUITS = ["add", "add-mod2n", "add-mersenne", "subtract", "compare",
+            "carry-network", "nope"]
+
+
+@given(st.sampled_from(CIRCUITS), st.integers(-2, 12),
+       st.lists(st.sampled_from(["--in-place", "--incoming-carry",
+                                 "--zero-rep=ones", "--zero-rep=zeros",
+                                 "--zero-rep=two", "--format=qasm"]),
+                max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_gen_exit_code_is_documented(circuit, n, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "c.qc")
+        argv = ["gen", "--circuit", circuit, "--n", str(n), *flags, "-o", out]
+        assert exit_code(argv) in (0, 1, 2, 3)
+
+
+SIM_FILES = [("add-oop", 4), ("add-ip-ic", 3), ("compare", 3),
+             ("mersenne-ip-zeros", 3), ("carry-network", 4)]
+OPERAND = st.sampled_from(["0", "1", "7", "16", "300", "-1", "0x5", "x"])
+
+
+@given(st.sampled_from(SIM_FILES), st.sampled_from(VARIANTS + ("nope",)),
+       st.integers(0, 14),
+       st.lists(st.tuples(st.sampled_from(["--a", "--b", "--y"]), OPERAND),
+                max_size=3),
+       st.lists(st.sampled_from(["--exhaustive", "--bits"]), max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_sim_exit_code_is_documented(source, vid, n, operands, flags):
+    text = emit_native(build_variant(*source), [f"variant={vid} n={n}"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.qc"
+        path.write_text(text)
+        argv = ["sim", str(path), *flags]
+        for name, value in operands:
+            argv += [name, value]
+        assert exit_code(argv) in (0, 1, 2, 3)
+
+
+@given(st.sampled_from(SIM_FILES), st.integers(0, 10_000),
+       st.sampled_from(["", "bogus\n", "ccx A[0] A[0] B[0]\n",
+                        "reg Q -1 output\n", "not Q[0]\n"]),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_stats_exit_code_is_documented(source, where, line, as_json):
+    lines = emit_native(build_variant(*source), []).splitlines(keepends=True)
+    at = where % (len(lines) + 1)
+    text = "".join(lines[:at] + [line] + lines[at + 1:])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.qc"
+        path.write_text(text)
+        argv = ["stats", str(path)] + (["--json"] if as_json else [])
+        assert exit_code(argv) in (0, 1, 2, 3)

@@ -29,6 +29,16 @@ def test_unknown_variant_rejected():
         formula_eval("no-such-variant", 8)
 
 
+@pytest.mark.parametrize("vid", sorted(FORMULAS))
+def test_undefined_formulas_raise_circuit_error(vid):
+    # floor_log2 used to raise a bare ValueError at n = 0 and n = 1
+    for n in range(7):
+        try:
+            formula_eval(vid, n)
+        except CircuitError:
+            pass
+
+
 @pytest.mark.parametrize("vid", sorted(_POWER_OF_TWO_FORMS))
 def test_power_of_two_forms_consistent(vid):
     # formula_eval raises if the general and specialized forms disagree

@@ -3,13 +3,17 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qcla.sim
 from qcla import (
     Circuit,
     CircuitError,
     Register,
     RegisterLayout,
     Role,
+    VARIANTS,
     Wire,
     build_variant,
     exhaustive_check,
@@ -19,8 +23,8 @@ from qcla import (
     run_operands,
     run_state,
 )
-from qcla.core import ccx, cnot, not_
-from qcla.sim import STATUSES, carry_bits, compose, status_of
+from qcla.core import GateKind, ccx, cnot, not_
+from qcla.sim import STATUSES, compose, status_of, stride_column
 
 
 def w(i: int) -> Wire:
@@ -62,6 +66,58 @@ def test_run_state_rejects_foreign_wires():
 # Oracles
 
 
+def plain_expected(vid: str, n: int, a: int, b: int, y: int) -> dict[str, int]:
+    """Final register values by plain integer arithmetic, a reference kept
+    apart from the column oracle."""
+    m = (1 << n) - 1
+    if vid == "carry-network":  # a: generate bits, b: propagate bits
+        c = z = 0
+        for j in range(n):
+            c = ((a >> j) & 1) ^ ((b >> j) & 1 & c)
+            z |= c << j
+        return {"B": b, "Z": z, "X": 0}
+    out = {"A": a, "X": 0}
+    if vid.endswith("-ic"):
+        out["Y"] = y
+    else:
+        y = 0
+    s = a + b + y
+    zeros = vid.endswith("zeros")
+    mers = s - m if s > m else (0 if zeros and s == m else s)
+    out["B"], z = {
+        "add-oop": (b, s), "add-oop-ic": (b, s),
+        "add-ip": (s & m, s >> n), "add-ip-ic": (s & m, s >> n),
+        "add-mod2n-oop": (b, s & m), "add-mod2n-oop-ic": (b, s & m),
+        "add-mod2n-ip": (s & m, None), "add-mod2n-ip-ic": (s & m, None),
+        "sub-oop": (b, (1 << n) + a - b), "sub-ip": ((a - b) & m, int(a >= b)),
+        "compare": (b, int(a >= b + y)), "compare-ic": (b, int(a >= b + y)),
+        "mersenne-oop-ones": (b, mers), "mersenne-oop-zeros": (b, mers),
+        "mersenne-ip-ones": (mers, None), "mersenne-ip-zeros": (mers, None),
+    }[vid]
+    if z is not None:
+        out["Z"] = z
+    if vid.startswith("mersenne-ip"):
+        out["X"] = int(b == (m if zeros else 0))
+    return out
+
+
+@st.composite
+def assignments(draw):
+    n = draw(st.integers(1, 300))
+    operand = st.one_of(st.sampled_from([0, 1, (1 << n) - 1, (1 << n) - 2]),
+                        st.integers(0, (1 << n) - 1))
+    return (draw(st.sampled_from(VARIANTS)), n, draw(operand) % (1 << n),
+            draw(operand) % (1 << n), draw(st.integers(0, 1)))
+
+
+@given(assignments())
+@settings(max_examples=300, deadline=None)
+def test_expected_state_matches_plain_arithmetic(case):
+    # same registers, same values, same order (`qcla sim` prints in it)
+    assert (list(expected_state(*case).items())
+            == list(plain_expected(*case).items()))
+
+
 def test_oracle_examples():
     assert expected_state("add-oop", 4, 5, 7)["Z"] == 12
     assert expected_state("mersenne-oop-ones", 3, 7, 7)["Z"] == 0b111
@@ -85,6 +141,41 @@ def test_exhaustive_guard():
 def test_exhaustive_reports_first_counterexample_fields():
     assert exhaustive_check("add-oop", 5) is None
     assert random_check("add-ip", 16, samples=200) is None
+
+
+def test_counterexample_is_the_lowest_failing_sample():
+    # sample s = a * 2^3 + b: Z fails from a = 1, the earlier register B
+    # only from a = 4; the report takes the sample first, then the register
+    good = build_variant("add-oop", 3)
+    broken = Circuit(good.layout, good.gates + (
+        cnot(Wire("A", 0), Wire("Z", 0)), cnot(Wire("A", 2), Wire("B", 0))))
+    cex = exhaustive_check("add-oop", 3, circuit=broken)
+    assert (cex.a, cex.b, cex.y, cex.register, cex.expected,
+            cex.actual) == (1, 0, 0, "Z", 1, 0)
+
+
+@pytest.mark.parametrize("vid,n", [("add-ip", 64), ("mersenne-ip-zeros", 40),
+                                   ("compare-ic", 30)])
+def test_random_check_reports_a_true_counterexample(monkeypatch, vid, n):
+    good = build_variant(vid, n)
+    drop = next(i for i, g in enumerate(good.gates)
+                if g.kind is GateKind.TOFFOLI)
+    broken = Circuit(good.layout, good.gates[:drop] + good.gates[drop + 1:])
+    monkeypatch.setattr(qcla.sim, "build_variant", lambda v, m: broken)
+    cex = random_check(vid, n)
+    assert cex is not None
+    assert cex.expected == plain_expected(vid, n, cex.a, cex.b,
+                                          cex.y).get(cex.register, 0)
+    actual = run_operands(broken, vid, cex.a, cex.b, cex.y)[cex.register]
+    assert cex.actual == actual != cex.expected
+
+
+@pytest.mark.parametrize("total", [1 << k for k in range(13)])
+def test_stride_column_holds_the_sample_index_bits(total):
+    for bit in range(total.bit_length() + 1):
+        col = stride_column(bit, total)
+        assert col >> total == 0
+        assert all((col >> s) & 1 == (s >> bit) & 1 for s in range(total))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +240,7 @@ def test_carry_bits_against_majority_recurrence(n):
             aj, bj = (a >> j) & 1, (b >> j) & 1
             c = (aj & bj) | (aj & c) | (bj & c)  # MAJ(a_j, b_j, c_j)
             out |= c << j
-        assert carry_bits(g, p, n) == out
+        assert expected_state("carry-network", n, g, p)["Z"] == out
 
 
 # ---------------------------------------------------------------------------
