@@ -31,8 +31,16 @@ Three shared pieces build the adders:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
-from .carry import PaddedRounds, WireFn, interval_slot_count, network_gates
+from .carry import (
+    PaddedRounds,
+    WireFn,
+    interval_slot_count,
+    network_gates,
+    padded_cells,
+)
 from .core import (
     Barrier,
     Circuit,
@@ -41,11 +49,8 @@ from .core import (
     Register,
     RegisterLayout,
     Role,
-    Wire,
-    asap_slices,
     ccx,
     cnot,
-    count_toffoli_slices,
     levelize,
     lightcone,
     not_,
@@ -105,7 +110,7 @@ def _seal(copies: list[Gate], block: list[Gate]) -> tuple[list[Gate], list[Gate]
     are unchanged.
     """
     head = 0
-    head_wires: set[Wire] = set()
+    head_wires: set[int] = set()
     for g in block:
         wires = set(g.wires)
         if head_wires & wires:
@@ -122,19 +127,21 @@ def _seal(copies: list[Gate], block: list[Gate]) -> tuple[list[Gate], list[Gate]
     return copies, block
 
 
-_ROUND_PHASES = frozenset({"P", "G", "C", "Pinv"})
+# phase -> barrier label, where the two differ
+_LABELS = {"P": "network", "G": "network", "C": "network", "Pinv": "network",
+           None: ""}
+_PHASE = itemgetter(3)
 
 
 def _phase_barriers(gates: list[Gate]) -> list[Barrier]:
     """A barrier at each phase change; a carry tree's interleaved rounds
     (see ``network_gates``) count as one ``network`` region."""
+    phases = list(map(_PHASE, gates))
     barriers = []
-    prev = None
-    for i, (_, _, _, phase) in enumerate(gates):
-        label = "network" if phase in _ROUND_PHASES else (phase or "")
-        if label != prev:
-            barriers.append(Barrier(i, label))
-            prev = label
+    i = 0
+    for label, run in groupby(map(_LABELS.get, phases, phases)):
+        barriers.append(Barrier(i, label))
+        i += len(list(run))
     return barriers
 
 
@@ -151,65 +158,63 @@ def _layout(n: int, z: int, x: int, carry_in: bool) -> RegisterLayout:
     return RegisterLayout(regs)
 
 
-def _aw(i: int) -> Wire:
-    return Wire("A", i)
+def _registers(layout: RegisterLayout) -> tuple[list[int], ...]:
+    """Flat wire indices of ``A, B, Z, X, Y`` (empty for a register the
+    layout lacks)."""
+    return tuple(layout.indices(r) if r in layout else [] for r in "ABZXY")
 
 
-def _bw(i: int) -> Wire:
-    return Wire("B", i)
-
-
-def _positions(incoming_carry: bool) -> tuple[WireFn, WireFn, int]:
+def _positions(A: list[int], B: list[int],
+               Y: list[int]) -> tuple[WireFn, WireFn, int]:
     """``(aw, bw, lo)``: tree position ``i`` reads register bit ``i - lo``.
 
-    With an incoming carry ``lo = 1`` and position 0 is the carry itself.
+    With an incoming carry ``lo = 1``: position 0 of both doubled operands
+    ``2a + y`` and ``2b + y`` is the carry ``Y[0]`` itself.
     """
-    if not incoming_carry:
-        return _aw, _bw, 0
-    return (lambda i: Wire("A", i - 1)), (lambda i: Wire("B", i - 1)), 1
+    return [*Y, *A].__getitem__, [*Y, *B].__getitem__, len(Y)
 
 
-def _carry_homes(lo: int, out: int | None = None) -> WireFn:
+def _carry_homes(layout: RegisterLayout) -> WireFn:
     """Carry position -> wire for the in-place forms: ``Y[0]`` holds the
-    position-1 carry when ``lo = 1`` (it is only ever read), ``Z[0]`` the
-    carry-out at position ``out``, and ``X[j - 1 - lo]`` the others."""
-
-    def gw(j: int) -> Wire:
-        if lo and j == 1:
-            return Wire("Y", 0)
-        return Wire("Z", 0) if j == out else Wire("X", j - 1 - lo)
-    return gw
+    position-1 carry when a carry comes in (it is only ever read), the
+    ``n - 1`` scratch wires at the bottom of ``X`` the next positions, and
+    ``Z[0]``, where the layout has it, the carry-out."""
+    A, _, Z, X, Y = _registers(layout)
+    homes = [*Y, *X[:len(A) - 1], *Z[:1]]
+    return lambda j: homes[j - 1]
 
 
-def _out_of_place(n: int, w: int, incoming_carry: bool,
-                  top: tuple[Gate, ...] = ()) -> Circuit:
-    """``Z[0..w]`` = the low ``w`` sum bits and the carry into bit ``w``,
-    then the ``top`` gates.
+def _out_of_place(n: int, w: int, incoming_carry: bool) -> Circuit:
+    """``Z[0..w]`` = the low ``w`` sum bits and the carry into bit ``w``;
+    when ``w < n``, ``Z[w]`` then takes the two operand bits of position
+    ``w`` too, which makes it the sum bit mod ``2^(w+1)``.
 
     Generate bits go to ``Z``, propagate bits onto ``B``, the width-``w``
     tree (``w + 1`` on doubled operands, where the seed CNOT from ``Y``
     replaces the position-0 Toffoli) turns ``Z`` into carries, and
     ``B`` is folded in as the sum and restored.
     """
-    aw, bw, lo = _positions(incoming_carry)
-    m = w + lo  # carry-tree width
-    gw = lambda j: Wire("Z", j - lo)
-    gates = [cnot(Wire("Y", 0), Wire("Z", 0), "init")] if lo else []
+    m = w + int(incoming_carry)  # carry-tree width
+    layout = _layout(n, w + 1, interval_slot_count(m), incoming_carry)
+    A, B, Z, X, Y = _registers(layout)
+    aw, bw, lo = _positions(A, B, Y)
+    gw = lambda j: Z[j - lo]
+    gates = [cnot(Y[0], Z[0], "init")] if lo else []
     gates += [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, m)]
     gates += [cnot(aw(i), bw(i), "init") for i in range(1, m)]
-    gates += network_gates(m, lambda s: Wire("X", s), gw, bw)
-    gates += [cnot(_bw(i), Wire("Z", i), "sum") for i in range(w)]
+    gates += network_gates(m, X.__getitem__, gw, bw)
+    gates += [cnot(B[i], Z[i], "sum") for i in range(w)]
     if w and not lo:
-        gates.append(cnot(_aw(0), Wire("Z", 0), "fixup"))
-    gates += top
+        gates.append(cnot(A[0], Z[0], "fixup"))
+    if w < n:
+        gates += [cnot(r[w], Z[w], "sum") for r in (A, B)]
     gates += [cnot(aw(i), bw(i), "fixup") for i in range(1, m)]
-    layout = _layout(n, w + 1, interval_slot_count(m), incoming_carry)
     return Circuit(layout, gates, _phase_barriers(gates))
 
 
-def _in_place(layout: RegisterLayout, incoming_carry: bool, gw: WireFn,
-              width: int, fwd: list[Gate], back: list[Gate],
-              sums: range, erase: range, fixes: range) -> Circuit:
+def _in_place(layout: RegisterLayout, gw: WireFn, width: int,
+              fwd: list[Gate], back: list[Gate], sums: range, erase: range,
+              fixes: range) -> Circuit:
     """The in-place skeleton: ``B`` becomes the sum, carries are erased.
 
     Positions ``lo..width-1`` write their generate bits to their carry
@@ -221,8 +226,9 @@ def _in_place(layout: RegisterLayout, incoming_carry: bool, gw: WireFn,
     CNOTs put that computation's propagate bits on ``B`` for the reversed
     tree and take them off again.
     """
-    aw, bw, lo = _positions(incoming_carry)
-    n = layout["A"].size
+    A, B, _, _, Y = _registers(layout)
+    aw, bw, lo = _positions(A, B, Y)
+    n = len(A)
     gates = [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, width)]
     gates += [cnot(aw(i), bw(i), "init") for i in range(lo, lo + n)]
     gates += fwd
@@ -261,13 +267,14 @@ def gen_add_ip(n: int, incoming_carry: bool = False) -> Circuit:
     the width-``n+1`` form on doubled operands; the position-1 carry wire is
     the carry-in ``Y`` itself (it is only ever read).
     """
-    _, bw, lo = _positions(incoming_carry)
+    lo = int(incoming_carry)
     m = n + lo
-    gw = _carry_homes(lo, m)
-    slot = lambda s: Wire("X", n - 1 + s)  # after the n - 1 scratch carries
     layout = _layout(n, 1, n - 1 + interval_slot_count(m), incoming_carry)
-    return _in_place(layout, incoming_carry, gw, m,
-                     network_gates(m, slot, gw, bw),
+    A, B, _, X, Y = _registers(layout)
+    _, bw, _ = _positions(A, B, Y)
+    gw = _carry_homes(layout)
+    slot = X[n - 1:].__getitem__  # after the n - 1 scratch carries
+    return _in_place(layout, gw, m, network_gates(m, slot, gw, bw),
                      network_gates(m - 1, slot, gw, bw),
                      sums=range(1, m), erase=range(lo, m - 1),
                      fixes=range(1, m - 1))
@@ -282,27 +289,23 @@ def gen_add_mod2n(n: int, in_place: bool = False,
     """Addition discarding the carry-out: ``(a + b (+ y)) mod 2^n``."""
     if in_place:
         return _gen_mod2n_ip(n, incoming_carry)
-    return _gen_mod2n_oop(n, incoming_carry)
-
-
-def _gen_mod2n_oop(n: int, incoming_carry: bool) -> Circuit:
-    # The n - 1 low sum bits and Z[n-1] = c_{n-1}, then two CNOTs fold
-    # a_{n-1} and b_{n-1} into the top sum bit.
-    top = tuple(cnot(reg(n - 1), Wire("Z", n - 1), "sum") for reg in (_aw, _bw))
-    return _out_of_place(n, n - 1, incoming_carry, top)
+    # the n - 1 low sum bits and Z[n-1] = c_{n-1}, into which a_{n-1} and
+    # b_{n-1} are then folded as the top sum bit
+    return _out_of_place(n, n - 1, incoming_carry)
 
 
 def _gen_mod2n_ip(n: int, incoming_carry: bool) -> Circuit:
     # In-place form with both carry trees of width n-1 (or width n on the
     # doubled operands when a carry comes in); no carry-out wire at all.
-    _, bw, lo = _positions(incoming_carry)
+    lo = int(incoming_carry)
     m = n - 1 + lo  # width of both carry trees
-    gw = _carry_homes(lo)
     layout = _layout(n, 0, n - 1 + interval_slot_count(m), incoming_carry)
-    tree = network_gates(m, lambda s: Wire("X", n - 1 + s), gw, bw)
-    return _in_place(layout, incoming_carry, gw, m, tree, tree,
-                     sums=range(1, m + 1), erase=range(lo, m),
-                     fixes=range(1, m))
+    A, B, _, X, Y = _registers(layout)
+    _, bw, _ = _positions(A, B, Y)
+    gw = _carry_homes(layout)
+    tree = network_gates(m, X[n - 1:].__getitem__, gw, bw)
+    return _in_place(layout, gw, m, tree, tree, sums=range(1, m + 1),
+                     erase=range(lo, m), fixes=range(1, m))
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +319,12 @@ def gen_sub(n: int, in_place: bool = False) -> Circuit:
     ``a >= b``).  In place: ``B = (a - b) mod 2^n`` with ``Z[0] = [a >= b]``.
     """
     inner = gen_add_ip(n) if in_place else gen_add_oop(n)
-    pre = [not_(_aw(i), "negate") for i in range(n)]
-    post = [not_(_aw(i), "negate") for i in range(n)]
+    A, B, Z, _, _ = _registers(inner.layout)
+    pre = [not_(a, "negate") for a in A]
+    post = [not_(a, "negate") for a in A]
     if in_place:
-        post += [not_(_bw(i), "negate") for i in range(n)]
-        post += [not_(Wire("Z", 0), "negate")]
-    else:
-        post += [not_(Wire("Z", i), "negate") for i in range(n + 1)]
+        post += [not_(b, "negate") for b in B]
+    post += [not_(z, "negate") for z in Z]
     gates = pre + list(inner.gates) + post
     return Circuit(inner.layout, gates, _phase_barriers(gates))
 
@@ -340,19 +342,20 @@ def gen_compare(n: int, incoming_carry: bool = False) -> Circuit:
     uncomputes everything else.  With an incoming carry the width-``n+1``
     doubled-operand form is used; position 1's carry wire is ``Y`` itself.
     """
-    aw, bw, lo = _positions(incoming_carry)
-    m = n + lo  # carry positions 1..m
-    gw = _carry_homes(lo, m)
-    rounds = PaddedRounds(m, gw, bw, lambda s: Wire("X", n - 1 + s))
-    layout = _layout(n, 1, n - 1 + rounds.slot_count, incoming_carry)
+    m = n + int(incoming_carry)  # carry positions 1..m
+    layout = _layout(n, 1, n - 1 + len(padded_cells(m)), incoming_carry)
+    A, B, Z, X, Y = _registers(layout)
+    aw, bw, lo = _positions(A, B, Y)
+    gw = _carry_homes(layout)
+    rounds = PaddedRounds(m, gw, bw, X[n - 1:].__getitem__)
 
-    gates: list[Gate] = [not_(_aw(i), "negate") for i in range(n)]
+    gates: list[Gate] = [not_(a, "negate") for a in A]
     gates += [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, m)]
     gates += [cnot(aw(i), bw(i), "init") for i in range(1, m)]
     p_fw = rounds.p_gates("P")
     g_all = rounds.g_gates("G")
     sink = rounds.carry0_wire
-    cone = lightcone(Circuit(layout, g_all), sink)
+    cone = lightcone(Circuit(layout, g_all), layout.wire_at(sink))
     g_cone = [g for i, g in enumerate(g_all) if i in cone]
     gates += levelize(p_fw + g_cone)
     un_g = retag((g for g in reversed(g_cone) if g.target != sink), "fixup")
@@ -362,8 +365,8 @@ def gen_compare(n: int, incoming_carry: bool = False) -> Circuit:
     erase = [ccx(aw(i), bw(i), gw(i + 1), "fixup") for i in range(lo, m - 1)]
     fix, erase = _seal(fix, erase)
     gates += fix + erase
-    gates += [not_(_aw(i), "negate") for i in range(n)]
-    gates += [not_(Wire("Z", 0), "negate")]
+    gates += [not_(a, "negate") for a in A]
+    gates += [not_(Z[0], "negate")]
     return Circuit(layout, gates, _phase_barriers(gates))
 
 
@@ -384,22 +387,20 @@ def gen_add_mersenne(n: int, in_place: bool = False,
         raise CircuitError(f"zero_rep must be one of {ZERO_REPS}")
     if in_place:
         return _gen_mersenne_ip(n, zero_rep)
-
-    def gw(j: int) -> Wire:  # position n wraps onto the low sum bit
-        return Wire("Z", j % n)
-
-    rounds = PaddedRounds(n, gw, _bw, lambda i: Wire("X", i), wrap=True)
-    layout = _layout(n, n, rounds.slot_count, False)
+    layout = _layout(n, n, len(padded_cells(n, wrap=True)), False)
+    A, B, Z, X, _ = _registers(layout)
+    gw = [*Z, Z[0]].__getitem__  # position n wraps onto the low sum bit
+    rounds = PaddedRounds(n, gw, B.__getitem__, X.__getitem__, wrap=True)
     gates: list[Gate] = []
-    gates += [ccx(_aw(i), _bw(i), gw(i + 1), "init") for i in range(n)]
-    gates += [cnot(_aw(i), _bw(i), "init") for i in range(n)]
+    gates += [ccx(A[i], B[i], gw(i + 1), "init") for i in range(n)]
+    gates += [cnot(A[i], B[i], "init") for i in range(n)]
     gates += _mersenne_rounds(rounds, gw(n), zero_rep)
-    gates += [cnot(_bw(i), Wire("Z", i), "sum") for i in range(n)]
-    gates += [cnot(_aw(i), _bw(i), "fixup") for i in range(n)]
+    gates += [cnot(B[i], Z[i], "sum") for i in range(n)]
+    gates += [cnot(A[i], B[i], "fixup") for i in range(n)]
     return Circuit(layout, gates, _phase_barriers(gates))
 
 
-def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: Wire,
+def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: int,
                      zero_rep: str) -> list[Gate]:
     """P / G / wraparound-C / inverse-P rounds for one end-around addition."""
     p_fw = rounds.p_gates("P")
@@ -409,18 +410,63 @@ def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: Wire,
     if zero_rep == "zeros":
         # fold the full-width propagate into the wrapped carry before the
         # C-rounds read it; the fold commutes with the G-round writes of
-        # that wire, and its cheapest spot in their serial chain depends on
-        # when its own operands settle, so try each round boundary and keep
-        # the shallowest
+        # that wire, so it may go at any G-round boundary, and the first
+        # boundary where the circuit comes out shallowest is taken
         p0, p1 = rounds.full_prefix_propagate()
-        extra = ccx(p0, p1, wrap_wire, "C")
-        orders = [
-            levelize(p_fw + g_fw[:e] + [extra] + g_fw[e:] + c_fw + p_bw)
-            for e in [0, *rounds.g_round_ends]
-        ]
-        return min(orders, key=lambda order: count_toffoli_slices(
-            order, asap_slices(order)))
+        ends = [0, *rounds.g_round_ends]
+        e = ends[_shallowest_cut(p_fw + g_fw + c_fw + p_bw,
+                                 [len(p_fw) + e for e in ends],
+                                 (p0, p1, wrap_wire))]
+        g_fw = g_fw[:e] + [ccx(p0, p1, wrap_wire, "C")] + g_fw[e:]
     return levelize(p_fw + g_fw + c_fw + p_bw)
+
+
+def _shallowest_cut(gates: list[Gate], cuts: list[int],
+                    wires: tuple[int, ...]) -> int:
+    """Index of the first of ``cuts`` (ascending gate positions) where one
+    more gate on ``wires`` gives the least-deep dependency DAG.
+
+    Inserting a gate adds no dependency except through itself, so the
+    depth with it at cut ``c`` is ``max(D, f(c) + 1 + b(c))``: ``D`` is
+    the depth without it, ``f(c)`` the longest chain ending on ``wires``
+    before ``c`` and ``b(c)`` the longest starting on them after ``c``.
+    One forward and one backward level pass give every cut's depth.  For
+    a gate list of Toffolis only, the levelized order's Toffoli slice
+    count is this depth.
+    """
+    fwd, depth = _levels_at(gates, cuts, wires)
+    bwd, _ = _levels_at(gates[::-1], [len(gates) - c for c in reversed(cuts)],
+                        wires)
+    costs = [max(depth, f + 1 + b) for f, b in zip(fwd, reversed(bwd))]
+    return costs.index(min(costs))
+
+
+def _levels_at(gates: list[Gate], cuts: list[int],
+               wires: tuple[int, ...]) -> tuple[list[int], int]:
+    """The highest dependency level on ``wires`` after the first ``c``
+    gates, for each of ``cuts`` (ascending), and the depth of all of
+    ``gates``; a wire's level is the length of the longest chain of gates
+    ending on it."""
+    level: dict[int, int] = {}
+    get = level.get
+    at: list[int] = []
+    cuts = iter([*cuts, -1])
+    cut = next(cuts)
+    for i, (_, controls, target, _) in enumerate(gates):
+        while cut == i:
+            at.append(max(get(w, 0) for w in wires))
+            cut = next(cuts)
+        lv = get(target, 0)
+        for c in controls:
+            lv = max(lv, get(c, 0))
+        lv += 1
+        level[target] = lv
+        for c in controls:
+            level[c] = lv
+    while cut != -1:  # cuts at the end of the list
+        at.append(max(get(w, 0) for w in wires))
+        cut = next(cuts)
+    return at, max(level.values(), default=0)
 
 
 def _gen_mersenne_ip(n: int, zero_rep: str) -> Circuit:
@@ -428,17 +474,15 @@ def _gen_mersenne_ip(n: int, zero_rep: str) -> Circuit:
     # carries are erased by inverting the *other* representation's rounds on
     # A and the complemented sum.  Carry homes are X[0..n-1]; position n
     # wraps to X[0], which is also c_0, so every position sums and erases.
-
-    def gw(j: int) -> Wire:
-        return Wire("X", j % n)
-
-    rounds = PaddedRounds(n, gw, _bw, lambda i: Wire("X", n + i), wrap=True)
-    layout = _layout(n, 0, n + rounds.slot_count, False)
+    layout = _layout(n, 0, n + len(padded_cells(n, wrap=True)), False)
+    _, B, _, X, _ = _registers(layout)
+    gw = [*X[:n], X[0]].__getitem__
+    rounds = PaddedRounds(n, gw, B.__getitem__, X[n:].__getitem__, wrap=True)
     other = "zeros" if zero_rep == "ones" else "ones"
     fwd = _mersenne_rounds(rounds, gw(n), zero_rep)
     back = _mersenne_rounds(rounds, gw(n), other)
     every = range(n)
-    return _in_place(layout, False, gw, n, fwd, back,
+    return _in_place(layout, gw, n, fwd, back,
                      sums=every, erase=every, fixes=every)
 
 

@@ -32,14 +32,14 @@ from .core import (
     Register,
     RegisterLayout,
     Role,
-    Wire,
     ccx,
     invert,
     levelize,
     retag,
 )
 
-WireFn = Callable[[int], Wire]
+# position -> flat wire index; a list's ``__getitem__`` serves as one
+WireFn = Callable[[int], int]
 
 
 def floor_log2(n: int) -> int:
@@ -74,18 +74,16 @@ def network_gates(n: int, slot: WireFn, gw: WireFn, pw: WireFn) -> list[Gate]:
     """
     k = n.bit_length() - 1  # floor(log2 n)
     cells = [(t, m) for t in range(1, k) for m in range(1, n >> t)]
-    ancilla = {cell: slot(s) for s, cell in enumerate(cells)}
-
-    def p_at(t: int, m: int) -> Wire:
-        return pw(m) if t == 0 else ancilla[t, m]
-
-    p_gates = [ccx(p_at(t - 1, 2 * m), p_at(t - 1, 2 * m + 1),
-                   ancilla[t, m], "P") for t, m in cells]
-    g_gates = [ccx(gw((m << t) + (1 << (t - 1))), p_at(t - 1, 2 * m + 1),
+    # (t, m) -> the wire of P_t[m]: position propagates, then the slots
+    p = {(0, i): pw(i) for i in range(n)}
+    p.update((cell, slot(s)) for s, cell in enumerate(cells))
+    p_gates = [ccx(p[t - 1, 2 * m], p[t - 1, 2 * m + 1], p[t, m], "P")
+               for t, m in cells]
+    g_gates = [ccx(gw((m << t) + (1 << (t - 1))), p[t - 1, 2 * m + 1],
                    gw((m << t) + (1 << t)), "G")
                for t in range(1, k + 1) for m in range(n >> t)]
     # the largest C-round t has 3 * 2^(t-1) <= n
-    c_gates = [ccx(gw(m << t), p_at(t - 1, 2 * m),
+    c_gates = [ccx(gw(m << t), p[t - 1, 2 * m],
                    gw((m << t) + (1 << (t - 1))), "C")
                for t in range((n // 3).bit_length(), 0, -1)
                for m in range(1, ((n - (1 << (t - 1))) >> t) + 1)]
@@ -126,8 +124,9 @@ def build_carry_network(spec: CarryNetworkSpec) -> Circuit:
             Register("X", interval_slot_count(n), Role.ANCILLA),
         ]
     )
-    gates = network_gates(n, lambda s: Wire("X", s),
-                          lambda j: Wire("Z", j - 1), lambda i: Wire("B", i))
+    B, Z, X = (layout.indices(r) for r in "BZX")
+    gates = network_gates(n, X.__getitem__, [-1, *Z].__getitem__,
+                          B.__getitem__)
     # rounds overlap in the emitted order, so each barrier marks where its
     # round family first contributes; phase tags identify the members
     barriers = []
@@ -140,6 +139,16 @@ def build_carry_network(spec: CarryNetworkSpec) -> Circuit:
     if spec.direction == "inverse":
         return invert(circuit)
     return circuit
+
+
+def padded_cells(n: int, wrap: bool = False) -> list[tuple[int, int]]:
+    """The interval cells ``(t, m)`` that get an ancilla slot in a width-``n``
+    tree padded to a power of two (see ``PaddedRounds``), in slot order:
+    the mixed intervals, plus the full prefixes ``m = 0`` with ``wrap``."""
+    k = ceil_log2(n)
+    return [(t, m) for t in range(1, k)
+            for m in range(0 if wrap else 1, (1 << k) >> t)
+            if m == 0 or (m << t) + (1 << (t - 1)) < n]
 
 
 _CONST1 = object()
@@ -162,7 +171,7 @@ class PaddedRounds:
     """
 
     def __init__(self, n: int, gw: WireFn, pw: WireFn,
-                 slot_wires: Callable[[int], Wire], wrap: bool = False):
+                 slot_wires: WireFn, wrap: bool = False):
         if n < 2:
             raise CircuitError(f"padded rounds need n >= 2, got {n}")
         self.n = n
@@ -171,17 +180,10 @@ class PaddedRounds:
         self.gw = gw
         self.pw = pw
         self.wrap = wrap
-        self.slots: dict[tuple[int, int], Wire] = {}
-        idx = 0
-        for t in range(1, self.k):
-            ms = range(0 if wrap else 1, self.N >> t)
-            for m in ms:
-                if m == 0 or (m << t) + (1 << (t - 1)) < n:
-                    self.slots[(t, m)] = slot_wires(idx)
-                    idx += 1
-        self.slot_count = idx
+        self.slots = {cell: slot_wires(s)
+                      for s, cell in enumerate(padded_cells(n, wrap))}
 
-    def resolve_p(self, t: int, m: int) -> Wire | object:
+    def resolve_p(self, t: int, m: int) -> int | object:
         """Wire (or constant-1 marker) holding ``p[2^t * m, 2^t * (m+1))``."""
         if t == 0:
             return _CONST1 if m >= self.n else self.pw(m)
@@ -206,7 +208,7 @@ class PaddedRounds:
                 gates.append(ccx(lo, hi, self.slots[(t, m)], phase))
         return gates
 
-    def full_prefix_propagate(self) -> tuple[Wire | object, Wire | object]:
+    def full_prefix_propagate(self) -> tuple[int | object, int | object]:
         """The two wires whose AND is ``p[0, N)`` (requires ``wrap``)."""
         return self.resolve_p(self.k - 1, 0), self.resolve_p(self.k - 1, 1)
 
@@ -215,7 +217,7 @@ class PaddedRounds:
         up holding ``g[0, N)`` (always the position-``n`` carry wire) and
         ``self.g_round_ends`` to the cumulative gate count after each round
         ``t``."""
-        home: dict[int, Wire] = {j: self.gw(j) for j in range(1, self.n + 1)}
+        home: dict[int, int] = {j: self.gw(j) for j in range(1, self.n + 1)}
         gates = []
         self.g_round_ends: list[int] = []
         for t in range(1, self.k + 1):

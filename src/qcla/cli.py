@@ -9,6 +9,7 @@ values most-significant-bit-first.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -147,6 +148,10 @@ def cmd_sim(args: argparse.Namespace) -> int:
         print("error: sim needs --a and --b (or --exhaustive)",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.y and not uses_carry_in(vid):
+        print(f"error: {vid} has no carry-in, so --y must be 0",
+              file=sys.stderr)
+        return EXIT_USAGE
     limit = 1 << n
     for name, value in (("a", args.a), ("b", args.b), ("y", args.y)):
         top = 2 if name == "y" else limit
@@ -274,8 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:  # I/O helpers exit directly with their code

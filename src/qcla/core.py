@@ -11,15 +11,19 @@ named registers.  The module provides:
 * ``constant_propagate`` -- simplify against compile-time-known wire values
 * ``lightcone`` -- backward cone of influence of a single wire
 
-``Wire`` and ``Gate`` are immutable tuple subclasses, ``(register, index)``
-and ``(kind, controls, target, phase)``: they hash and compare as those
-tuples -- so each equals the plain tuple with the same fields -- and hot
-loops unpack them directly.  Wires are interned, one object per distinct
-wire.
+Inside a circuit a wire is a plain ``int``: its flat position in the
+``RegisterLayout`` (the register's offset plus the bit index).  A ``Gate``
+is an immutable ``(kind, controls, target, phase)`` tuple over those ints,
+so hot loops unpack gates directly and index per-wire lists.  ``Wire``, the
+``(register, index)`` name of a wire, lives only at the edges: the text
+format, the CLI, and the wire arguments of ``lightcone``,
+``constant_propagate`` and ``run_state``; ``RegisterLayout.flat_index`` and
+``RegisterLayout.wire_at`` convert between the two.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -47,23 +51,18 @@ class Role(str, Enum):
 
 
 class Wire(tuple):
-    """A single bit line, addressed as register name + index (0 = LSB).
+    """A bit line named by register + index (0 = LSB), for the edges.
 
     A ``Wire`` is an immutable ``(register, index)`` tuple: it hashes and
-    compares as that tuple, so ``Wire("A", 3) == ("A", 3)``, and hashing and
-    equality run in C.  Instances are interned -- every ``Wire("A", 3)`` is
-    the same object -- so all gates touching a wire share it.  The intern
-    table lives for the process and holds one entry per distinct wire built.
+    compares as that tuple, so ``Wire("A", 3) == ("A", 3)``.  Gates do not
+    hold ``Wire`` objects; they hold flat indices (see
+    :meth:`RegisterLayout.flat_index`).
     """
 
     __slots__ = ()
 
     def __new__(cls, register: str, index: int) -> Wire:
-        key = (register, index)
-        wire = _WIRES.get(key)
-        if wire is None:
-            wire = _WIRES[key] = tuple.__new__(cls, key)
-        return wire
+        return tuple.__new__(cls, (register, index))
 
     register = property(itemgetter(0), doc="Register name.")
     index = property(itemgetter(1), doc="Bit position in the register.")
@@ -73,9 +72,6 @@ class Wire(tuple):
 
     def __repr__(self) -> str:
         return f"{self[0]}[{self[1]}]"
-
-
-_WIRES: dict[tuple[str, int], Wire] = {}
 
 
 class GateKind(Enum):
@@ -99,25 +95,18 @@ class Gate(tuple):
     """One reversible gate: ``target ^= AND(controls)`` (empty AND = 1).
 
     A ``Gate`` is an immutable ``(kind, controls, target, phase)`` tuple
-    and compares equal to the plain tuple with the same fields, phase
-    included.  Construction checks the control count against the kind and
-    that the wires are distinct.  Gates are not interned; their wires are.
+    whose wires are flat indices into the circuit's layout; it compares
+    equal to the plain tuple with the same fields, phase included.  Gates
+    are not checked when built: :class:`Circuit` checks the control count
+    against the kind, that the wires are distinct and that they lie in the
+    layout, once for the whole gate list.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: GateKind, controls: tuple[Wire, ...], target: Wire,
+    def __new__(cls, kind: GateKind, controls: Iterable[int], target: int,
                 phase: str | None = None) -> Gate:
-        if len(controls) != _NUM_CONTROLS[kind]:
-            raise CircuitError(
-                f"{kind.value} expects {_NUM_CONTROLS[kind]} controls, "
-                f"got {len(controls)}"
-            )
-        if target in controls or (len(controls) == 2
-                                  and controls[0] == controls[1]):
-            raise CircuitError(
-                f"gate wires must be distinct: {(*controls, target)}")
-        return tuple.__new__(cls, (kind, controls, target, phase))
+        return tuple.__new__(cls, (kind, tuple(controls), target, phase))
 
     kind = property(itemgetter(0))
     controls = property(itemgetter(1))
@@ -125,32 +114,36 @@ class Gate(tuple):
     phase = property(itemgetter(3))
 
     @property
-    def wires(self) -> tuple[Wire, ...]:
+    def wires(self) -> tuple[int, ...]:
         return (*self[1], self[2])
 
     def __getnewargs__(self) -> tuple:
         return tuple(self)
 
     def __repr__(self) -> str:
-        args = " ".join(repr(w) for w in self.wires)
-        return f"{self[0].value} {args}"
+        return f"{self[0].value} {' '.join(map(str, self.wires))}"
+
+
+_new = tuple.__new__
+_NOT, _CNOT, _TOFFOLI = GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI
 
 
 def retag(gates: Iterable[Gate], phase: str) -> list[Gate]:
-    """The same gates with their phase tag replaced (no re-validation)."""
-    return [tuple.__new__(Gate, (g[0], g[1], g[2], phase)) for g in gates]
+    """The same gates with their phase tag replaced."""
+    return [_new(Gate, (kind, controls, target, phase))
+            for kind, controls, target, _ in gates]
 
 
-def not_(target: Wire, phase: str | None = None) -> Gate:
-    return Gate(GateKind.NOT, (), target, phase)
+def not_(target: int, phase: str | None = None) -> Gate:
+    return _new(Gate, (_NOT, (), target, phase))
 
 
-def cnot(control: Wire, target: Wire, phase: str | None = None) -> Gate:
-    return Gate(GateKind.CNOT, (control,), target, phase)
+def cnot(control: int, target: int, phase: str | None = None) -> Gate:
+    return _new(Gate, (_CNOT, (control,), target, phase))
 
 
-def ccx(c1: Wire, c2: Wire, target: Wire, phase: str | None = None) -> Gate:
-    return Gate(GateKind.TOFFOLI, (c1, c2), target, phase)
+def ccx(c1: int, c2: int, target: int, phase: str | None = None) -> Gate:
+    return _new(Gate, (_TOFFOLI, (c1, c2), target, phase))
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,6 +175,7 @@ class RegisterLayout:
             offsets[r.name] = total
             total += r.size
         self._offsets = offsets
+        self._starts = list(offsets.values())
         self.total_size = total
 
     def __getitem__(self, name: str) -> Register:
@@ -190,16 +184,14 @@ class RegisterLayout:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def wire(self, name: str, index: int) -> Wire:
-        reg = self._by_name.get(name)
-        if reg is None:
-            raise CircuitError(f"unknown register {name!r}")
-        if not 0 <= index < reg.size:
-            raise CircuitError(f"index {index} out of range for {name}[{reg.size}]")
-        return Wire(name, index)
+    def offset(self, name: str) -> int:
+        """Flat index of the register's bit 0."""
+        return self._offsets[name]
 
-    def wires(self, name: str) -> list[Wire]:
-        return [Wire(name, i) for i in range(self._by_name[name].size)]
+    def indices(self, name: str) -> list[int]:
+        """Flat indices of the register's wires, LSB first."""
+        off = self._offsets[name]
+        return list(range(off, off + self._by_name[name].size))
 
     def flat_index(self, wire: Wire) -> int:
         """Position of a wire in the layout's flattened bit order."""
@@ -209,8 +201,18 @@ class RegisterLayout:
             raise CircuitError(f"wire {wire!r} not in layout")
         return self._offsets[name] + index
 
+    def wire_at(self, index: int) -> Wire:
+        """The wire at a flat index (the inverse of :meth:`flat_index`)."""
+        if not 0 <= index < self.total_size:
+            raise CircuitError(f"flat index {index} not in layout")
+        # the last register starting at or below the index holds it: an
+        # empty register shares its start with the register after it
+        r = self.registers[bisect_right(self._starts, index) - 1]
+        return Wire(r.name, index - self._offsets[r.name])
+
     def all_wires(self) -> list[Wire]:
-        return [w for r in self.registers for w in self.wires(r.name)]
+        """Every wire, in flat-index order."""
+        return [Wire(r.name, i) for r in self.registers for i in range(r.size)]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RegisterLayout) and self.registers == other.registers
@@ -229,7 +231,11 @@ class Barrier:
 
 
 class Circuit:
-    """An immutable gate list over a register layout, with phase barriers."""
+    """An immutable gate list over a register layout, with phase barriers.
+
+    Construction checks every gate once: its control count matches its
+    kind, its wires are distinct, and each is a flat index of the layout.
+    """
 
     def __init__(
         self,
@@ -240,10 +246,7 @@ class Circuit:
         self.layout = layout
         self.gates = tuple(gates)
         self.barriers = tuple(barriers)
-        wires = set(map(_TARGET, self.gates))  # each distinct wire once
-        wires.update(chain.from_iterable(map(_CONTROLS, self.gates)))
-        for w in wires:
-            layout.flat_index(w)  # raises on foreign wires
+        _check_gates(self.gates, layout.total_size)
         last = -1
         for b in self.barriers:
             if not 0 <= b.position <= len(self.gates):
@@ -263,6 +266,28 @@ class Circuit:
 _KIND = itemgetter(0)
 _CONTROLS = itemgetter(1)
 _TARGET = itemgetter(2)
+
+
+def _check_gates(gates: Sequence[Gate], width: int) -> None:
+    for kind, controls, target, _ in gates:
+        if len(controls) != _NUM_CONTROLS.get(kind, -1):
+            raise CircuitError(f"{kind} gate with controls {controls!r}")
+        if target in controls or (len(controls) == 2
+                                  and controls[0] == controls[1]):
+            raise CircuitError(
+                f"gate wires must be distinct: {(*controls, target)}")
+    wires = set(map(_TARGET, gates))  # each distinct wire once
+    wires.update(chain.from_iterable(map(_CONTROLS, gates)))
+    for w in wires:
+        if type(w) is not int or not 0 <= w < width:
+            raise CircuitError(f"wire {w!r} is not a flat index below {width}")
+
+
+def _width(gates: Sequence[Gate]) -> int:
+    """One more than the highest wire the gates touch (0 for no gates)."""
+    return 1 + max(chain(map(_TARGET, gates),
+                         chain.from_iterable(map(_CONTROLS, gates))),
+                   default=-1)
 
 
 def invert(circuit: Circuit) -> Circuit:
@@ -285,26 +310,24 @@ def schedule_asap(circuit: Circuit) -> list[list[int]]:
     that this packing realizes the construction's parallelism (see
     :func:`levelize`).  Returns gate indices per slice.
     """
-    return asap_slices(circuit.gates)
-
-
-def asap_slices(gates: Sequence[Gate]) -> list[list[int]]:
-    """The slices of :func:`schedule_asap` for a bare gate sequence."""
+    gates = circuit.gates
+    # wire -> the first gate of the last slice that used it
+    stamp = [-1] * circuit.layout.total_size
     starts: list[int] = []  # index of the first gate of every slice but one
-    used: set[Wire] = set()  # wires of the open slice
-    update, clear = used.update, used.clear
-    size = 0
+    open_ = 0  # index of the first gate of the open slice
     for i, (_, controls, target, _) in enumerate(gates):
-        wires = (*controls, target)
-        update(wires)
-        size += len(wires)
-        # a gate's own wires are distinct, so the set grew by less than
-        # len(wires) only if one of them was in use: open a new slice
-        if len(used) != size:
+        if stamp[target] == open_:
             starts.append(i)
-            clear()
-            update(wires)
-            size = len(wires)
+            open_ = i
+        else:
+            for c in controls:
+                if stamp[c] == open_:
+                    starts.append(i)
+                    open_ = i
+                    break
+        stamp[target] = open_
+        for c in controls:
+            stamp[c] = open_
     bounds = [0, *starts, len(gates)] if gates else []
     return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
@@ -312,8 +335,7 @@ def asap_slices(gates: Sequence[Gate]) -> list[list[int]]:
 def count_toffoli_slices(gates: Sequence[Gate],
                          slices: list[list[int]]) -> int:
     """How many of ``slices`` (index lists into ``gates``) hold a Toffoli."""
-    toffoli = GateKind.TOFFOLI
-    return sum(any(gates[i][0] is toffoli for i in sl) for sl in slices)
+    return sum(any(gates[i][0] is _TOFFOLI for i in sl) for sl in slices)
 
 
 def levelize(gates: Sequence[Gate]) -> list[Gate]:
@@ -329,15 +351,14 @@ def levelize(gates: Sequence[Gate]) -> list[Gate]:
     the result.
     """
     # wire -> the lowest level a later gate on that wire may take
-    level: dict[Wire, int] = {}
-    get = level.get
+    level = [0] * _width(gates)
     buckets: list[list[Gate]] = []
     depth = 0
     for g in gates:
         _, controls, target, _ = g
-        lv = get(target, 0)
+        lv = level[target]
         for c in controls:
-            lc = get(c, 0)
+            lc = level[c]
             if lc > lv:
                 lv = lc
         if lv < depth:
@@ -408,54 +429,57 @@ def constant_propagate(circuit: Circuit, constants: Mapping[Wire, int]) -> Circu
     one of the *declared* constant wires after it has been overwritten with a
     non-constant value raises :class:`InternalConsistencyError`.
     """
+    layout = circuit.layout
+    known: dict[int, int] = {}
     for w, v in constants.items():
-        circuit.layout.flat_index(w)
         if v not in (0, 1):
             raise CircuitError(f"constant for {w!r} must be 0 or 1, got {v}")
-    known: dict[Wire, int] = dict(constants)
-    declared = set(constants)
-    clobbered: set[Wire] = set()
+        known[layout.flat_index(w)] = v
+    declared = set(known)
+    clobbered: set[int] = set()
     out: list[Gate] = []
     old_to_new: list[int] = []
-    for g in circuit.gates:
+    kinds = (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)
+    for _, controls, target, phase in circuit.gates:
         old_to_new.append(len(out))
-        for c in g.controls:
+        for c in controls:
             if c in clobbered:
                 raise InternalConsistencyError(
-                    f"declared-constant wire {c!r} read after non-constant write"
-                )
-        vals = [known.get(c) for c in g.controls]
-        if any(v == 0 for v in vals):
+                    f"declared-constant wire {layout.wire_at(c)!r} read "
+                    f"after non-constant write")
+        vals = [known.get(c) for c in controls]
+        if 0 in vals:
             continue
-        live = tuple(c for c, v in zip(g.controls, vals) if v is None)
-        if g.target in known:
+        live = tuple(c for c, v in zip(controls, vals) if v is None)
+        if target in known:
             if not live:
-                known[g.target] ^= 1
+                known[target] ^= 1
                 continue
-            del known[g.target]
-            if g.target in declared:
-                clobbered.add(g.target)
-        kinds = {0: GateKind.NOT, 1: GateKind.CNOT, 2: GateKind.TOFFOLI}
-        out.append(Gate(kinds[len(live)], live, g.target, g.phase))
+            del known[target]
+            if target in declared:
+                clobbered.add(target)
+        out.append(Gate(kinds[len(live)], live, target, phase))
     old_to_new.append(len(out))
     barriers = tuple(
         Barrier(old_to_new[b.position], b.label) for b in circuit.barriers
     )
-    return Circuit(circuit.layout, out, barriers)
+    return Circuit(layout, out, barriers)
 
 
 def lightcone(circuit: Circuit, sink: Wire) -> set[int]:
     """Indices of gates that can influence the final value of ``sink``.
 
     Walks the gate list backwards, marking gates that write a marked wire and
-    then marking their control and target wires.
+    then marking their control wires.
     """
-    circuit.layout.flat_index(sink)
-    marked = {sink}
+    marked = [False] * circuit.layout.total_size
+    marked[circuit.layout.flat_index(sink)] = True
+    gates = circuit.gates
     cone: set[int] = set()
-    for i in range(len(circuit.gates) - 1, -1, -1):
-        g = circuit.gates[i]
-        if g.target in marked:
+    for i in range(len(gates) - 1, -1, -1):
+        _, controls, target, _ = gates[i]
+        if marked[target]:
             cone.add(i)
-            marked.update(g.controls)
+            for c in controls:
+                marked[c] = True
     return cone

@@ -3,7 +3,8 @@
 The simulator runs many computational-basis samples at once: each wire is
 represented by one arbitrary-precision integer whose bit ``s`` is the wire's
 value in sample ``s``, so a CNOT is one XOR and a Toffoli one AND plus one
-XOR across every sample simultaneously.  Exhaustive checks enumerate all
+XOR across every sample simultaneously.  The state is a list of these
+columns indexed by flat wire index, so a register is a slice of it.  Exhaustive checks enumerate all
 operand combinations as stride patterns; randomized checks pack a batch of
 random operands into the same column form.
 
@@ -17,6 +18,7 @@ assignment (:func:`expected_state`) is its one-sample case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,17 +50,19 @@ def compose(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 # Column simulation
 
 
-def zero_columns(circuit: Circuit) -> dict[Wire, int]:
-    return {w: 0 for w in circuit.layout.all_wires()}
+def zero_columns(circuit: Circuit) -> list[int]:
+    """All-zero columns, one per wire, indexed by flat wire index."""
+    return [0] * circuit.layout.total_size
 
 
 def run_columns(
     circuit: Circuit,
-    cols: dict[Wire, int],
+    cols: list[int],
     mask: int,
     gates: Sequence[Gate] | None = None,
-) -> dict[Wire, int]:
-    """Apply the gates to bit columns in place; ``mask`` covers all samples."""
+) -> list[int]:
+    """Apply the gates to bit columns (one per flat wire index) in place;
+    ``mask`` covers all samples."""
     not_kind, cnot_kind = GateKind.NOT, GateKind.CNOT
     for kind, controls, target, _ in circuit.gates if gates is None else gates:
         if kind is not_kind:
@@ -72,23 +76,12 @@ def run_columns(
 
 def run_state(circuit: Circuit, values: Mapping[Wire, int]) -> dict[Wire, int]:
     """Run a single sample given per-wire bit values (missing wires are 0)."""
+    layout = circuit.layout
     cols = zero_columns(circuit)
     for w, v in values.items():
-        circuit.layout.flat_index(w)
-        cols[w] = v & 1
-    return run_columns(circuit, cols, 1)
-
-
-def set_register(cols: dict[Wire, int], name: str, size: int, value: int) -> None:
-    for i in range(size):
-        cols[Wire(name, i)] = (value >> i) & 1
-
-
-def get_register(cols: Mapping[Wire, int], name: str, size: int) -> int:
-    v = 0
-    for i in range(size):
-        v |= (cols.get(Wire(name, i), 0) & 1) << i
-    return v
+        cols[layout.flat_index(w)] = v & 1
+    run_columns(circuit, cols, 1)
+    return dict(zip(layout.all_wires(), cols))
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +272,15 @@ def expected_state(variant_id: str, n: int, a: int, b: int,
 def run_operands(circuit: Circuit, variant_id: str, a: int, b: int,
                  y: int = 0) -> dict[str, int]:
     """Run one operand assignment; returns final values per register name."""
+    layout = circuit.layout
     cols = zero_columns(circuit)
     ops = {"a": a, "b": b, "y": y}
     for op, reg in input_registers(variant_id):
-        set_register(cols, reg, circuit.layout[reg].size, ops[op])
+        for i, w in enumerate(layout.indices(reg)):
+            cols[w] = (ops[op] >> i) & 1
     run_columns(circuit, cols, 1)
-    return {
-        r.name: get_register(cols, r.name, r.size)
-        for r in circuit.layout.registers
-    }
+    return {r.name: _sample([cols[w] for w in layout.indices(r.name)], 0)
+            for r in layout.registers}
 
 
 @dataclass(frozen=True)
@@ -310,42 +303,45 @@ class Counterexample:
 
 
 def _check_columns(circuit: Circuit, variant_id: str, n: int,
-                   cols: dict[Wire, int],
+                   cols: list[int],
                    nsamples: int) -> Counterexample | None:
     """Run pre-loaded input columns and diff every wire against the oracle.
 
     A mismatch is reported at its lowest failing sample, in the first
     register (in layout order) that fails there.
     """
+    layout = circuit.layout
+
+    def register(name: str) -> list[int]:
+        off = layout.offset(name)
+        return cols[off:off + layout[name].size]
+
     mask = (1 << nsamples) - 1
-    ops = {op: [cols[Wire(reg, i)] for i in range(_width(op, n))]
-           for op, reg in input_registers(variant_id)}
+    ops = {op: register(reg) for op, reg in input_registers(variant_id)}
     ops.setdefault("y", [0])
     expected = _expected_columns(variant_id, n, ops["a"], ops["b"],
                                  ops["y"][0], mask)
     run_columns(circuit, cols, mask)
     # every declared register, then any the oracle names that the circuit
     # lacks; a wire the circuit does not declare reads as all zeros
-    sizes = {r.name: r.size for r in circuit.layout.registers}
+    got = {r.name: register(r.name) for r in layout.registers}
+    got.update((r, []) for r in expected if r not in got)
     bad: dict[str, int] = {}  # per register, the samples where it fails
     failing = 0
-    for reg in [*sizes, *(r for r in expected if r not in sizes)]:
-        want = expected.get(reg, [])
-        width = max(sizes.get(reg, 0), len(want))
-        want = want + [0] * (width - len(want))
+    for reg, have in got.items():
         diff = 0
-        for i in range(width):
-            diff |= cols.get(Wire(reg, i), 0) ^ want[i]
+        for h, w in zip_longest(have, expected.get(reg, []), fillvalue=0):
+            diff |= h ^ w
         bad[reg] = diff
         failing |= diff
     if not failing:
         return None
     s = (failing & -failing).bit_length() - 1
     reg = next(r for r, diff in bad.items() if (diff >> s) & 1)
-    got = [cols.get(Wire(reg, i), 0) for i in range(sizes.get(reg, 0))]
     return Counterexample(variant_id, n, _sample(ops["a"], s),
                           _sample(ops["b"], s), _sample(ops["y"], s), reg,
-                          _sample(expected.get(reg, []), s), _sample(got, s))
+                          _sample(expected.get(reg, []), s),
+                          _sample(got[reg], s))
 
 
 def exhaustive_check(variant_id: str, n: int, *,
@@ -372,8 +368,8 @@ def exhaustive_check(variant_id: str, n: int, *,
     off = total_bits
     for op, reg in pairs:
         off -= _width(op, n)
-        for j in range(_width(op, n)):
-            cols[Wire(reg, j)] = stride_column(off + j, nsamples)
+        for j, w in enumerate(circuit.layout.indices(reg)):
+            cols[w] = stride_column(off + j, nsamples)
     return _check_columns(circuit, variant_id, n, cols, nsamples)
 
 
@@ -395,8 +391,9 @@ def random_check(variant_id: str, n: int, samples: int = 1000,
     circuit = build_variant(variant_id, n)
     cols = zero_columns(circuit)
     for op, reg in input_registers(variant_id):
-        for j, col in enumerate(values_to_columns(ops[op], _width(op, n))):
-            cols[Wire(reg, j)] = col
+        off = circuit.layout.offset(reg)
+        width = _width(op, n)
+        cols[off:off + width] = values_to_columns(ops[op], width)
     return _check_columns(circuit, variant_id, n, cols, samples)
 
 
@@ -409,8 +406,7 @@ def permutation_check(circuit: Circuit) -> bool:
     if width > 20:
         raise CircuitError("permutation check limited to 20 wires")
     nsamples = 1 << width
-    wires = circuit.layout.all_wires()
-    cols = {w: stride_column(i, nsamples) for i, w in enumerate(wires)}
+    cols = [stride_column(i, nsamples) for i in range(width)]
     run_columns(circuit, cols, (1 << nsamples) - 1)
-    states = columns_to_values([cols[w] for w in wires], nsamples)
+    states = columns_to_values(cols, nsamples)
     return len(set(states)) == nsamples

@@ -22,7 +22,6 @@ from .core import (
     Register,
     RegisterLayout,
     Role,
-    Wire,
 )
 
 __all__ = ["ParseError", "emit_native", "parse_native", "emit_qasm"]
@@ -41,10 +40,14 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class _WireTokens(dict):
-    """Wire -> its text token, each formatted on first use."""
+    """Flat wire index -> its text token, each formatted on first use."""
 
-    def __missing__(self, wire: Wire) -> str:
-        token = self[wire] = f"{wire[0]}[{wire[1]}]"
+    def __init__(self, layout: RegisterLayout):
+        super().__init__()
+        self.wire_at = layout.wire_at
+
+    def __missing__(self, index: int) -> str:
+        token = self[index] = repr(self.wire_at(index))
         return token
 
 
@@ -56,7 +59,7 @@ def emit_native(circuit: Circuit, header_comments: list[str] | None = None) -> s
     lines = [f"# {c}" for c in header_comments or []]
     for r in circuit.layout.registers:
         lines.append(f"reg {r.name} {r.size} {r.role.value}")
-    token = _WireTokens().__getitem__
+    token = _WireTokens(circuit.layout).__getitem__
 
     def gate_line(gate: Gate) -> str:
         kind, controls, target, _ = gate
@@ -85,14 +88,16 @@ def parse_native(text: str) -> Circuit:
     """
     registers: list[Register] = []
     sizes: dict[str, int] = {}
+    offsets: dict[str, int] = {}  # register -> flat index of its bit 0
+    total = 0
     gates: list[Gate] = []
     barriers: list[Barrier] = []
     reg_lineno = 0  # line of the last register header
-    # token -> its wire, checked once: the registers are fixed by then,
-    # since every register header precedes the first gate
-    wires: dict[str, Wire] = {}
+    # token -> its flat wire index, checked once: the registers are fixed
+    # by then, since every register header precedes the first gate
+    wires: dict[str, int] = {}
 
-    def wire(token: str, lineno: int) -> Wire:
+    def wire(token: str, lineno: int) -> int:
         m = _WIRE_RE.match(token)
         if not m:
             raise ParseError(lineno, f"malformed wire reference {token!r}")
@@ -101,7 +106,7 @@ def parse_native(text: str) -> Circuit:
             raise ParseError(lineno, f"undeclared register {name!r}")
         if index >= sizes[name]:
             raise ParseError(lineno, f"wire {token} out of range")
-        w = wires[token] = Wire(name, index)
+        w = wires[token] = offsets[name] + index
         return w
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -116,11 +121,11 @@ def parse_native(text: str) -> Circuit:
                 raise ParseError(
                     lineno,
                     f"{op} needs {kind.num_controls + 1} wires, got {len(args)}")
-            ws = [wires.get(t) or wire(t, lineno) for t in args]
-            try:
-                gates.append(Gate(kind, tuple(ws[:-1]), ws[-1]))
-            except CircuitError as exc:
-                raise ParseError(lineno, str(exc)) from None
+            ws = [wires[t] if t in wires else wire(t, lineno) for t in args]
+            if len(set(ws)) != len(ws):
+                raise ParseError(lineno, f"gate wires must be distinct: "
+                                         f"{' '.join(args)}")
+            gates.append(Gate(kind, ws[:-1], ws[-1]))
         elif op == "reg":
             if gates:
                 raise ParseError(lineno, "reg line after first gate")
@@ -136,6 +141,8 @@ def parse_native(text: str) -> Circuit:
             if role_s not in _ROLES:
                 raise ParseError(lineno, f"unknown role {role_s!r}")
             sizes[name] = int(size_s)
+            offsets[name] = total
+            total += sizes[name]
             registers.append(Register(name, sizes[name], _ROLES[role_s]))
             reg_lineno = lineno
         elif op == "barrier":
@@ -168,8 +175,9 @@ def emit_qasm(circuit: Circuit) -> str:
         lines.append(f"qreg {name}[{r.size}];")
     all_regs = ",".join(qasm_names[r.name] for r in regs)
 
-    def ref(w: Wire) -> str:
-        return f"{qasm_names[w.register]}[{w.index}]"
+    def ref(index: int) -> str:
+        name, bit = circuit.layout.wire_at(index)
+        return f"{qasm_names[name]}[{bit}]"
 
     ops = {GateKind.NOT: "x", GateKind.CNOT: "cx", GateKind.TOFFOLI: "ccx"}
     barriers = list(circuit.barriers)

@@ -10,7 +10,7 @@ import pytest
 import qcla.formulas
 from qcla import CircuitError, build_variant, emit_native, verify_family
 from qcla.adders import VARIANTS, request_for
-from qcla.core import Circuit, Wire
+from qcla.core import Circuit, GateKind
 from qcla.sim import run_columns, stride_column, zero_columns
 
 # width grid used by the resource checks: dense through 64, then powers of two
@@ -36,24 +36,40 @@ def native_digest(circuit: Circuit) -> str:
     return hashlib.sha256(emit_native(circuit).encode()).hexdigest()
 
 
+def toffoli_depth(circuit: Circuit) -> int:
+    """The Toffoli-weighted depth of the gate list's dependency DAG: the
+    longest chain of gates, each sharing a wire with the next one later in
+    the list, in which only Toffolis count."""
+    level = [0] * circuit.layout.total_size  # per wire, the deepest chain
+    for kind, controls, target, _ in circuit.gates:
+        wires = (*controls, target)
+        lv = max(level[w] for w in wires) + (kind is GateKind.TOFFOLI)
+        for w in wires:
+            level[w] = lv
+    return max(level, default=0)
+
+
 class GridSweep(NamedTuple):
     results: dict  # (variant, n, field) -> VerifyResult
     digests: dict  # (variant, n) -> native_digest of the circuit verified
+    depths: dict  # (variant, n) -> toffoli_depth of the circuit verified
 
 
 @pytest.fixture(scope="session")
 def grid_sweep() -> GridSweep:
     """``verify_family`` for every variant over the width grid, run once.
 
-    Every circuit that ``verify_family`` builds is also digested, so the
-    golden-digest test checks the very circuits the resource checks
-    measured without building them a second time.
+    Every circuit that ``verify_family`` builds is also digested and its
+    Toffoli DAG depth taken, so the golden-digest and scheduler tests check
+    the very circuits the resource checks measured without building them a
+    second time.
     """
-    results, digests = {}, {}
+    results, digests, depths = {}, {}, {}
 
     def build_and_digest(vid: str, n: int) -> Circuit:
         circuit = build_variant(vid, n)
         digests[(vid, n)] = native_digest(circuit)
+        depths[(vid, n)] = toffoli_depth(circuit)
         return circuit
 
     with pytest.MonkeyPatch.context() as mp:
@@ -61,7 +77,7 @@ def grid_sweep() -> GridSweep:
         for vid in VARIANTS:
             for r in verify_family(vid, GRID):
                 results[(vid, r.n, r.field)] = r
-    return GridSweep(results, digests)
+    return GridSweep(results, digests, depths)
 
 
 def gc_boundary_ok(n: int) -> bool:
@@ -79,9 +95,10 @@ def gc_boundary_ok(n: int) -> bool:
     g_col = [stride_column(t, nsamples) for t in range(n)]
     p_col = [stride_column(n + t, nsamples) for t in range(n)]
     cols = zero_columns(circuit)
+    Z, B = circuit.layout.indices("Z"), circuit.layout.indices("B")
     for t in range(n):
-        cols[Wire("Z", t)] = g_col[t]
-        cols[Wire("B", t)] = p_col[t]
+        cols[Z[t]] = g_col[t]
+        cols[B[t]] = p_col[t]
     run_columns(circuit, cols, (1 << nsamples) - 1, prefix)
     for j in range(1, n + 1):
         i = (j - 1) & j
@@ -89,6 +106,6 @@ def gc_boundary_ok(n: int) -> bool:
         for t in range(j - 2, i - 1, -1):
             g_acc = g_acc ^ (g_col[t] & p_acc)
             p_acc = p_acc & p_col[t]
-        if cols[Wire("Z", j - 1)] != g_acc:
+        if cols[Z[j - 1]] != g_acc:
             return False
     return True

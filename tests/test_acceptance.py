@@ -152,8 +152,9 @@ def test_criterion_6_randomized_scale_check():
 def _reversibility_ok(vid: str, n: int, samples: int = 1000) -> bool:
     circuit = build_variant(vid, n)
     mask = (1 << samples) - 1
-    cols = {w: secrets.randbits(samples) for w in circuit.layout.all_wires()}
-    start = dict(cols)
+    cols = [secrets.randbits(samples)
+            for _ in range(circuit.layout.total_size)]
+    start = list(cols)
     run_columns(circuit, cols, mask)
     run_columns(invert(circuit), cols, mask)
     return cols == start
@@ -173,22 +174,25 @@ def _compare_constant_propagation_ok(n: int) -> bool:
     nsamples = 1 << (2 * n)
     mask = (1 << nsamples) - 1
 
+    layout = padded.layout
+
     def run(circuit):
         cols = zero_columns(padded)
         for t in range(n):
-            cols[Wire("A", t)] = stride_column(t, nsamples)
-            cols[Wire("B", t)] = stride_column(n + t, nsamples)
+            cols[layout.flat_index(Wire("A", t))] = stride_column(t, nsamples)
+            cols[layout.flat_index(Wire("B", t))] = stride_column(n + t,
+                                                                  nsamples)
         return run_columns(circuit, cols, mask)
 
     full, simp = run(padded), run(simplified)
-    if any(full[w] != simp[w] for w in padded.layout.all_wires()
+    if any(full[i] != simp[i] for i, w in enumerate(layout.all_wires())
            if w not in constants):
         return False
     z_expected = 0
     for s in range(nsamples):
         a, b = s & ((1 << n) - 1), s >> n
         z_expected |= int(a >= b) << s
-    return simp[Wire("Z", 0)] == z_expected
+    return simp[layout.flat_index(Wire("Z", 0))] == z_expected
 
 
 def test_criterion_7_property_suites():

@@ -12,7 +12,19 @@ from qcla import (
     request_for,
     resource_report,
 )
-from qcla.adders import VARIANTS
+from qcla.adders import VARIANTS, _mersenne_rounds
+from qcla.carry import PaddedRounds
+from qcla.core import (
+    Circuit,
+    Register,
+    RegisterLayout,
+    Role,
+    ccx,
+    count_toffoli_slices,
+    levelize,
+    retag,
+    schedule_asap,
+)
 from qcla.sim import run_operands
 
 
@@ -111,7 +123,8 @@ def test_compare_g_round_structure_width_seven():
     g_ccx = [g for g in c.gates
              if g.phase == "G" and g.kind is GateKind.TOFFOLI]
     assert len(g_ccx) == 6
-    assert sum(g.target == Wire("Z", 0) for g in g_ccx) == 2
+    z0 = c.layout.flat_index(Wire("Z", 0))
+    assert sum(g.target == z0 for g in g_ccx) == 2
     undo = [g for g in c.gates
             if g.phase == "fixup" and g.kind is GateKind.TOFFOLI]
     assert len(undo) == 6 + 4  # step-6 undo plus the init-erase Toffolis
@@ -134,3 +147,38 @@ def test_mersenne_reference_counts():
 def test_canonical_register_order():
     c = build_variant("add-oop-ic", 6)
     assert [r.name for r in c.layout.registers] == ["A", "B", "Z", "X", "Y"]
+
+
+# ---------------------------------------------------------------------------
+# The one-pass Mersenne fold
+
+
+def fold_by_search(rounds: PaddedRounds, wrap_wire: int) -> list:
+    """The ``zeros`` rounds by brute force: levelize the order with the fold
+    gate at every G-round boundary and keep the first one with the fewest
+    Toffoli slices."""
+    p_fw = rounds.p_gates("P")
+    g_fw = rounds.g_gates("G")
+    c_fw = rounds.c_gates("C")
+    p_bw = retag(reversed(p_fw), "Pinv")
+    extra = ccx(*rounds.full_prefix_propagate(), wrap_wire, "C")
+    layout = RegisterLayout([Register("W", 2 * rounds.n + len(rounds.slots),
+                                      Role.ANCILLA)])
+
+    def toffoli_slices(order):
+        return count_toffoli_slices(order, schedule_asap(Circuit(layout,
+                                                                 order)))
+
+    orders = [levelize(p_fw + g_fw[:e] + [extra] + g_fw[e:] + c_fw + p_bw)
+              for e in [0, *rounds.g_round_ends]]
+    return min(orders, key=toffoli_slices)
+
+
+@pytest.mark.parametrize("n", [*range(2, 131), 255, 256, 257, 1024])
+def test_one_pass_fold_matches_the_candidate_search(n):
+    # propagate bits on 0..n-1, carries on n..2n-1 (position n wraps to
+    # position 0), interval slots from 2n
+    carries = [*range(n, 2 * n), n]
+    rounds = PaddedRounds(n, carries.__getitem__, lambda i: i,
+                          lambda s: 2 * n + s, wrap=True)
+    assert _mersenne_rounds(rounds, n, "zeros") == fold_by_search(rounds, n)

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, formats."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcla
 from qcla import build_variant, emit_native, resource_report
 from qcla.adders import VARIANTS
 from qcla.cli import main
@@ -75,6 +79,18 @@ def test_sim_operand_out_of_range(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "a4.qc", "--circuit", "add", "--n", "4")
     code, _, err = run(capsys, "sim", str(path), "--a", "16", "--b", "0")
     assert code == 2 and "out of range" in err
+
+
+def test_sim_rejects_a_carry_in_the_variant_cannot_take(tmp_path, capsys):
+    # --y was once ignored here: Z=2, exit 0
+    path = gen_file(tmp_path, capsys, "a4.qc", "--circuit", "add", "--n", "4")
+    code, out, err = run(capsys, "sim", str(path), "--a", "1", "--b", "1",
+                         "--y", "1")
+    assert code == 2 and out == ""
+    assert err == "error: add-oop has no carry-in, so --y must be 0\n"
+    code, out, _ = run(capsys, "sim", str(path), "--a", "1", "--b", "1",
+                       "--y", "0")
+    assert code == 0 and out == "Z=2 restored=true clean=true\n"
 
 
 def test_sim_exhaustive(tmp_path, capsys):
@@ -177,6 +193,31 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--circuit", "add"])  # missing --n
     assert exc.value.code == 2
+
+
+def test_one_process_answers_as_separate_processes_do(capsys):
+    # main builds its parser once per process; a usage error in between
+    # must not change how the next command is parsed
+    calls = [["gen", "--circuit", "add", "--n", "3"],
+             ["gen", "--circuit", "add"],  # missing --n
+             ["verify", "--family", "add", "--range", "7..8"]]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    env = {**os.environ, "PYTHONPATH": str(Path(qcla.__file__).parents[1])}
+    separate = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "qcla.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [0, 2, 0]
 
 
 def test_qasm_format_output(tmp_path, capsys):

@@ -40,18 +40,18 @@ def layout(size: int) -> RegisterLayout:
 
 
 def test_not_flips():
-    c = Circuit(layout(1), [not_(w(0))])
+    c = Circuit(layout(1), [not_(0)])
     assert run_state(c, {})[w(0)] == 1
 
 
 def test_cnot_conditional_flip():
-    c = Circuit(layout(2), [cnot(w(0), w(1))])
+    c = Circuit(layout(2), [cnot(0, 1)])
     assert run_state(c, {w(0): 1})[w(1)] == 1
     assert run_state(c, {w(0): 0})[w(1)] == 0
 
 
 def test_toffoli_and_semantics():
-    c = Circuit(layout(3), [ccx(w(0), w(1), w(2))])
+    c = Circuit(layout(3), [ccx(0, 1, 2)])
     for a, b in product((0, 1), repeat=2):
         assert run_state(c, {w(0): a, w(1): b})[w(2)] == (a & b)
 
@@ -147,8 +147,10 @@ def test_counterexample_is_the_lowest_failing_sample():
     # sample s = a * 2^3 + b: Z fails from a = 1, the earlier register B
     # only from a = 4; the report takes the sample first, then the register
     good = build_variant("add-oop", 3)
+    at = good.layout.flat_index
     broken = Circuit(good.layout, good.gates + (
-        cnot(Wire("A", 0), Wire("Z", 0)), cnot(Wire("A", 2), Wire("B", 0))))
+        cnot(at(Wire("A", 0)), at(Wire("Z", 0))),
+        cnot(at(Wire("A", 2)), at(Wire("B", 0)))))
     cex = exhaustive_check("add-oop", 3, circuit=broken)
     assert (cex.a, cex.b, cex.y, cex.register, cex.expected,
             cex.actual) == (1, 0, 0, "Z", 1, 0)
