@@ -51,8 +51,8 @@ from .core import (
     Role,
     ccx,
     cnot,
+    gate_lightcone,
     levelize,
-    lightcone,
     not_,
     retag,
 )
@@ -145,6 +145,11 @@ def _phase_barriers(gates: list[Gate]) -> list[Barrier]:
     return barriers
 
 
+def _circuit(layout: RegisterLayout, gates: list[Gate]) -> Circuit:
+    """The one ``Circuit`` a build makes: its gates are checked here."""
+    return Circuit(layout, gates, _phase_barriers(gates))
+
+
 def _layout(n: int, z: int, x: int, carry_in: bool) -> RegisterLayout:
     regs = [
         Register("A", n, Role.INPUT_A),
@@ -184,7 +189,8 @@ def _carry_homes(layout: RegisterLayout) -> WireFn:
     return lambda j: homes[j - 1]
 
 
-def _out_of_place(n: int, w: int, incoming_carry: bool) -> Circuit:
+def _out_of_place(n: int, w: int,
+                  incoming_carry: bool) -> tuple[RegisterLayout, list[Gate]]:
     """``Z[0..w]`` = the low ``w`` sum bits and the carry into bit ``w``;
     when ``w < n``, ``Z[w]`` then takes the two operand bits of position
     ``w`` too, which makes it the sum bit mod ``2^(w+1)``.
@@ -209,12 +215,12 @@ def _out_of_place(n: int, w: int, incoming_carry: bool) -> Circuit:
     if w < n:
         gates += [cnot(r[w], Z[w], "sum") for r in (A, B)]
     gates += [cnot(aw(i), bw(i), "fixup") for i in range(1, m)]
-    return Circuit(layout, gates, _phase_barriers(gates))
+    return layout, gates
 
 
 def _in_place(layout: RegisterLayout, gw: WireFn, width: int,
               fwd: list[Gate], back: list[Gate], sums: range, erase: range,
-              fixes: range) -> Circuit:
+              fixes: range) -> list[Gate]:
     """The in-place skeleton: ``B`` becomes the sum, carries are erased.
 
     Positions ``lo..width-1`` write their generate bits to their carry
@@ -240,7 +246,7 @@ def _in_place(layout: RegisterLayout, gw: WireFn, width: int,
                       [ccx(aw(i), bw(i), gw(i + 1), "fixup") for i in erase])
     gates += fix1 + rev + fix2 + gen
     gates += [not_(bw(i), "negate") for i in erase]
-    return Circuit(layout, gates, _phase_barriers(gates))
+    return gates
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +261,7 @@ def gen_add_oop(n: int, incoming_carry: bool = False) -> Circuit:
     operands ``2a + y`` and ``2b + y`` with the (always zero) low sum bit
     elided, which trades the position-0 Toffoli for a carry-seed CNOT.
     """
-    return _out_of_place(n, n, incoming_carry)
+    return _circuit(*_out_of_place(n, n, incoming_carry))
 
 
 def gen_add_ip(n: int, incoming_carry: bool = False) -> Circuit:
@@ -267,6 +273,11 @@ def gen_add_ip(n: int, incoming_carry: bool = False) -> Circuit:
     the width-``n+1`` form on doubled operands; the position-1 carry wire is
     the carry-in ``Y`` itself (it is only ever read).
     """
+    return _circuit(*_add_ip(n, incoming_carry))
+
+
+def _add_ip(n: int,
+            incoming_carry: bool) -> tuple[RegisterLayout, list[Gate]]:
     lo = int(incoming_carry)
     m = n + lo
     layout = _layout(n, 1, n - 1 + interval_slot_count(m), incoming_carry)
@@ -274,10 +285,10 @@ def gen_add_ip(n: int, incoming_carry: bool = False) -> Circuit:
     _, bw, _ = _positions(A, B, Y)
     gw = _carry_homes(layout)
     slot = X[n - 1:].__getitem__  # after the n - 1 scratch carries
-    return _in_place(layout, gw, m, network_gates(m, slot, gw, bw),
-                     network_gates(m - 1, slot, gw, bw),
-                     sums=range(1, m), erase=range(lo, m - 1),
-                     fixes=range(1, m - 1))
+    return layout, _in_place(layout, gw, m, network_gates(m, slot, gw, bw),
+                             network_gates(m - 1, slot, gw, bw),
+                             sums=range(1, m), erase=range(lo, m - 1),
+                             fixes=range(1, m - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +302,7 @@ def gen_add_mod2n(n: int, in_place: bool = False,
         return _gen_mod2n_ip(n, incoming_carry)
     # the n - 1 low sum bits and Z[n-1] = c_{n-1}, into which a_{n-1} and
     # b_{n-1} are then folded as the top sum bit
-    return _out_of_place(n, n - 1, incoming_carry)
+    return _circuit(*_out_of_place(n, n - 1, incoming_carry))
 
 
 def _gen_mod2n_ip(n: int, incoming_carry: bool) -> Circuit:
@@ -304,8 +315,9 @@ def _gen_mod2n_ip(n: int, incoming_carry: bool) -> Circuit:
     _, bw, _ = _positions(A, B, Y)
     gw = _carry_homes(layout)
     tree = network_gates(m, X[n - 1:].__getitem__, gw, bw)
-    return _in_place(layout, gw, m, tree, tree, sums=range(1, m + 1),
-                     erase=range(lo, m), fixes=range(1, m))
+    return _circuit(layout, _in_place(layout, gw, m, tree, tree,
+                                      sums=range(1, m + 1),
+                                      erase=range(lo, m), fixes=range(1, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +330,15 @@ def gen_sub(n: int, in_place: bool = False) -> Circuit:
     Out of place: ``Z = 2^n + a - b`` on ``n + 1`` wires (top bit set iff
     ``a >= b``).  In place: ``B = (a - b) mod 2^n`` with ``Z[0] = [a >= b]``.
     """
-    inner = gen_add_ip(n) if in_place else gen_add_oop(n)
-    A, B, Z, _, _ = _registers(inner.layout)
+    layout, gates = (_add_ip(n, False) if in_place
+                     else _out_of_place(n, n, False))
+    A, B, Z, _, _ = _registers(layout)
     pre = [not_(a, "negate") for a in A]
     post = [not_(a, "negate") for a in A]
     if in_place:
         post += [not_(b, "negate") for b in B]
     post += [not_(z, "negate") for z in Z]
-    gates = pre + list(inner.gates) + post
-    return Circuit(inner.layout, gates, _phase_barriers(gates))
+    return _circuit(layout, pre + gates + post)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +367,7 @@ def gen_compare(n: int, incoming_carry: bool = False) -> Circuit:
     p_fw = rounds.p_gates("P")
     g_all = rounds.g_gates("G")
     sink = rounds.carry0_wire
-    cone = lightcone(Circuit(layout, g_all), layout.wire_at(sink))
+    cone = gate_lightcone(g_all, sink)
     g_cone = [g for i, g in enumerate(g_all) if i in cone]
     gates += levelize(p_fw + g_cone)
     un_g = retag((g for g in reversed(g_cone) if g.target != sink), "fixup")
@@ -367,7 +379,7 @@ def gen_compare(n: int, incoming_carry: bool = False) -> Circuit:
     gates += fix + erase
     gates += [not_(a, "negate") for a in A]
     gates += [not_(Z[0], "negate")]
-    return Circuit(layout, gates, _phase_barriers(gates))
+    return _circuit(layout, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +409,7 @@ def gen_add_mersenne(n: int, in_place: bool = False,
     gates += _mersenne_rounds(rounds, gw(n), zero_rep)
     gates += [cnot(B[i], Z[i], "sum") for i in range(n)]
     gates += [cnot(A[i], B[i], "fixup") for i in range(n)]
-    return Circuit(layout, gates, _phase_barriers(gates))
+    return _circuit(layout, gates)
 
 
 def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: int,
@@ -482,8 +494,8 @@ def _gen_mersenne_ip(n: int, zero_rep: str) -> Circuit:
     fwd = _mersenne_rounds(rounds, gw(n), zero_rep)
     back = _mersenne_rounds(rounds, gw(n), other)
     every = range(n)
-    return _in_place(layout, gw, n, fwd, back,
-                     sums=every, erase=every, fixes=every)
+    return _circuit(layout, _in_place(layout, gw, n, fwd, back, sums=every,
+                                      erase=every, fixes=every))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import sys
 
 from .adders import VARIANTS, AdderRequest, build, build_variant
 from .core import Circuit, CircuitError, resource_report
-from .formulas import FORMULA_VALID_FROM, FORMULAS, verify_family
+from .formulas import verify_family
 from .sim import (
     check_inputs,
     exhaustive_check,
@@ -199,25 +199,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: unknown family {vid!r} (choose from "
               f"{', '.join(VARIANTS)})", file=sys.stderr)
         return EXIT_USAGE
-    status = EXIT_OK
-    try:
-        results = verify_family(vid, args.range)
-    except CircuitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    for n in args.range:
-        if n >= FORMULA_VALID_FROM:
-            break
-        print(f"{vid} n={n} resources: not checked (closed forms exact "
-              f"from n={FORMULA_VALID_FROM})")
+    results = verify_family(vid, args.range)
     for r in results:
         print(r)
-        if not r.ok:
-            status = EXIT_MISMATCH
-        if r.field == "depth":
-            note = FORMULAS[vid].depth_note(r.n, r.measured)
-            if note:
-                print(f"note: {vid} n={r.n} {note}")
+    status = EXIT_OK if all(r.ok for r in results) else EXIT_MISMATCH
     for n in args.range:
         if n > 8:
             break

@@ -467,19 +467,22 @@ def constant_propagate(circuit: Circuit, constants: Mapping[Wire, int]) -> Circu
 
 
 def lightcone(circuit: Circuit, sink: Wire) -> set[int]:
-    """Indices of gates that can influence the final value of ``sink``.
+    """Indices of gates that can influence the final value of ``sink``."""
+    return gate_lightcone(circuit.gates, circuit.layout.flat_index(sink))
+
+
+def gate_lightcone(gates: Sequence[Gate], sink: int) -> set[int]:
+    """Indices of ``gates`` that can influence the final value of the flat
+    wire ``sink``.
 
     Walks the gate list backwards, marking gates that write a marked wire and
     then marking their control wires.
     """
-    marked = [False] * circuit.layout.total_size
-    marked[circuit.layout.flat_index(sink)] = True
-    gates = circuit.gates
+    marked = {sink}
     cone: set[int] = set()
     for i in range(len(gates) - 1, -1, -1):
         _, controls, target, _ = gates[i]
-        if marked[target]:
+        if target in marked:
             cone.add(i)
-            for c in controls:
-                marked[c] = True
+            marked.update(controls)
     return cone

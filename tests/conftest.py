@@ -17,7 +17,7 @@ from qcla.sim import run_columns, stride_column, zero_columns
 GRID = list(range(7, 65)) + [128, 256, 512, 1024]
 
 
-def valid_small_widths(vid: str, top: int = 8) -> list[int]:
+def valid_small_widths(vid: str, top: int) -> list[int]:
     out = []
     for n in range(1, top + 1):
         if vid == "carry-network":

@@ -1,11 +1,13 @@
 """Acceptance gate: one test (one pass/fail line under ``pytest -v``) per
 criterion.
 
-1. Exhaustive functional correctness for every variant, all n <= 8.
+1. Exhaustive functional correctness for every variant, all n <= 11.
 2. Toffoli-count exactness on the width grid, with spot values.
 3. CNOT/NOT-count exactness against the per-variant closed forms.
-4. Depth at or below the published bound, with equality at powers of two
-   for the out-of-place adder, in-place adder, and in-place mod-2^n adder.
+4. Depth exactness on the width grid against each variant's one closed
+   form, with the paper's power-of-two forms for the out-of-place adder,
+   in-place adder, and in-place mod-2^n adder, and the comparators'
+   2 floor(log(n - 1)) + 5 and 2 floor(log n) + 5.
 5. Ancilla-count exactness.
 6. Randomized functional checks at large widths.
 7. Property suites: reversibility, comparator constant propagation,
@@ -51,10 +53,10 @@ def measured(grid_sweep):
 
 def test_criterion_1_exhaustive_functional_correctness():
     for vid in VARIANTS:
-        for n in valid_small_widths(vid):
+        for n in valid_small_widths(vid, 11):
             cex = exhaustive_check(vid, n)
             assert cex is None, f"{vid} n={n}: {cex}"
-    print("CRITERION 1 (exhaustive functional correctness, n <= 8): PASS")
+    print("CRITERION 1 (exhaustive functional correctness, n <= 11): PASS")
 
 
 def test_criterion_2_toffoli_count_exactness(measured):
@@ -95,7 +97,7 @@ def test_criterion_4_depth_bounds_and_power_of_two_equality(measured):
     for vid in VARIANTS:
         for n in GRID:
             r = measured[(vid, n, "depth")]
-            assert r.ok, str(r)
+            assert r.ok and r.measured == r.expected, str(r)
     equality_rows = {
         "add-oop": lambda k: 2 * k + 2,
         "add-ip": lambda k: 4 * k + 3,
@@ -106,19 +108,14 @@ def test_criterion_4_depth_bounds_and_power_of_two_equality(measured):
             r = measured[(vid, 1 << k, "depth")]
             assert r.measured == depth(k), \
                 f"{vid} n=2^{k}: depth {r.measured}, expected {depth(k)}"
-    # the comparator has two published depth expressions; log measurements
-    # that beat the larger one without failing
     for vid in ("compare", "compare-ic"):
         m = vid == "compare"
         for n in GRID:
             r = measured[(vid, n, "depth")]
-            lo = 2 * floor_log2(n - 1 if m else n) + 5
-            hi = 2 * ceil_log2(n) + 5
-            assert r.measured <= max(lo, hi)
-            if r.measured > min(lo, hi):
-                print(f"note: {vid} n={n} depth {r.measured} "
-                      f"(candidates {lo}, {hi})")
-    print("CRITERION 4 (depth bounds, equality at powers of two): PASS")
+            depth = 2 * floor_log2(n - 1 if m else n) + 5
+            assert r.measured == depth, \
+                f"{vid} n={n}: depth {r.measured}, expected {depth}"
+    print("CRITERION 4 (depth exact on the width grid): PASS")
 
 
 def test_criterion_5_ancilla_count_exactness(measured):

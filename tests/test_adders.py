@@ -2,6 +2,7 @@
 
 import pytest
 
+import qcla.core
 from qcla import (
     AdderRequest,
     CircuitError,
@@ -147,6 +148,19 @@ def test_mersenne_reference_counts():
 def test_canonical_register_order():
     c = build_variant("add-oop-ic", 6)
     assert [r.name for r in c.layout.registers] == ["A", "B", "Z", "X", "Y"]
+
+
+@pytest.mark.parametrize("vid", VARIANTS)
+def test_each_build_checks_its_gates_once(vid, monkeypatch):
+    # the subtractors once re-checked the wrapped adder's gates, and the
+    # comparator built a throwaway circuit of its G-rounds for the light cone
+    checked = []
+    check = qcla.core._check_gates
+    monkeypatch.setattr(qcla.core, "_check_gates",
+                        lambda gates, width: (checked.append(len(gates)),
+                                              check(gates, width)))
+    circuit = build_variant(vid, 9)
+    assert checked == [len(circuit.gates)]
 
 
 # ---------------------------------------------------------------------------

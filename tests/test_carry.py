@@ -29,6 +29,9 @@ def test_log_helpers():
     assert [floor_log2(n) for n in (1, 2, 3, 4, 7, 8)] == [0, 1, 1, 2, 2, 3]
     assert [ceil_log2(n) for n in (1, 2, 3, 4, 7, 8)] == [0, 1, 2, 2, 3, 3]
     assert log_third(10) == 1  # floor(log2(10/3))
+    assert [log_third(n) for n in (1, 2, 3, 5, 6)] == [-2, -1, 0, 0, 1]
+    with pytest.raises(CircuitError):
+        log_third(0)
 
 
 def test_reference_width_ten():
@@ -45,8 +48,11 @@ def test_counts_and_depth_bound(n):
     r = resource_report(build_variant("carry-network", n))
     assert r.toffoli == max(4 * n - 3 * w - 3 * k - 1, 0)
     assert r.ancilla_count == n - w - k == interval_slot_count(n)
-    if n >= 3:
-        assert r.toffoli_slices <= k + log_third(n) + 3
+    depth = k + log_third(n) + 3
+    if n >= 5:
+        assert r.toffoli_slices == depth
+    else:  # the trees degenerate below n = 5
+        assert r.toffoli_slices <= depth
 
 
 def test_depth_equality_widths():

@@ -147,31 +147,50 @@ def test_verify_family_alias_and_exhaustive_lines(capsys):
     ("add-ip", 3),
 ])
 def test_verify_below_formula_validity(capsys, family, lo):
+    # these widths used to print "not checked (closed forms exact from n=7)"
     code, out, err = run(capsys, "verify", "--family", family,
                          "--range", f"{lo}..6")
-    assert code == 0 and err == ""
+    assert code == 0 and err == "" and "MISMATCH" not in out
     for n in range(lo, 7):
-        assert (f"{family} n={n} resources: not checked (closed forms exact "
-                f"from n=7)") in out
+        if (family, n) == ("add-ip", 1):
+            assert ("add-ip n=1 resources: not checked (add-ip has no closed "
+                    "form at n=1: floor_log2 needs n >= 1, got 0)") in out
+        else:
+            for field in ("toffoli", "cnot", "not", "ancilla", "depth"):
+                assert f"{family} n={n} {field}: expected " in out
         assert f"{family} n={n} exhaustive: ok" in out
+    # the depth is a bound below n = 5 and exact from there
+    assert f"{family} n=4 depth: expected at most" in out
+    assert f"{family} n=5 depth: expected at most" not in out
 
 
 def test_verify_carry_network_below_validity_says_so(capsys):
-    # this range used to print nothing and exit 0, then only the
-    # "not checked" lines, with no exhaustive check of the network
+    # this range used to print nothing and exit 0, then only "not checked"
+    # lines, with no exhaustive check of the network
     code, out, _ = run(capsys, "verify", "--family", "carry-network",
                        "--range", "3..6")
     assert code == 0
-    assert out.splitlines() == [
-        f"carry-network n={n} resources: not checked (closed forms exact "
-        f"from n=7)" for n in range(3, 7)] + [
-        f"carry-network n={n} exhaustive: ok" for n in range(3, 7)]
+    counts = {3: (2, 0), 4: (6, 1), 5: (7, 1), 6: (11, 2)}
+    depths = {3: "at most 4, measured 2", 4: "at most 5, measured 5",
+              5: "5, measured 5", 6: "6, measured 6"}
+    expected = []
+    for n, (tof, anc) in counts.items():
+        head = f"carry-network n={n}"
+        expected += [f"{head} toffoli: expected {tof}, measured {tof} [ok]",
+                     f"{head} cnot: expected 0, measured 0 [ok]",
+                     f"{head} not: expected 0, measured 0 [ok]",
+                     f"{head} ancilla: expected {anc}, measured {anc} [ok]",
+                     f"{head} depth: expected {depths[n]} [ok]"]
+    expected += [f"carry-network n={n} exhaustive: ok" for n in range(3, 7)]
+    assert out.splitlines() == expected
 
 
 def test_verify_names_a_width_without_a_circuit(capsys):
     code, out, _ = run(capsys, "verify", "--family", "compare",
                        "--range", "1..2")
     assert code == 0
+    assert ("compare n=1 resources: not checked (compare requires n >= 2, "
+            "got 1)") in out
     assert "compare n=1 exhaustive: not checked (compare requires n >= 2" in out
     assert "compare n=2 exhaustive: ok" in out
 

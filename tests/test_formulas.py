@@ -1,9 +1,42 @@
 """Closed-form resource formulas and the measurement harness."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcla import CircuitError, formula_eval, popcount_identity_check, verify_family
-from qcla.formulas import FORMULAS, _POWER_OF_TWO_FORMS, popcount
+from qcla.adders import VARIANTS
+from qcla.formulas import FORMULAS, popcount
+
+# The paper's simplified closed forms at n = 2^k, as (toffoli, ancilla,
+# depth), for the variants whose references give them: a cross-check of the
+# general formulas.
+POWER_OF_TWO_FORMS = {
+    "add-oop": lambda n, k: (5 * n - 3 * k - 4, n - k - 1, 2 * k + 2),
+    "add-oop-ic": lambda n, k: (5 * n - 3 * k - 3, n - k - 1, 2 * k + 2),
+    "add-ip": lambda n, k: (10 * n - 9 * k - 7, 2 * n - k - 2, 4 * k + 3),
+    "add-ip-ic": lambda n, k: (10 * n - 6 * k - 8, 2 * n - k - 2, 4 * k + 4),
+    "add-mod2n-oop": lambda n, k: (5 * n - 6 * k - 3, n - 2 * k, 2 * k + 1),
+    "add-mod2n-oop-ic": lambda n, k: (5 * n - 3 * k - 5, n - k - 1, 2 * k + 2),
+    "add-mod2n-ip": lambda n, k: (10 * n - 12 * k - 6, 2 * n - 2 * k - 1,
+                                  4 * k + 2),
+    "add-mod2n-ip-ic": lambda n, k: (10 * n - 6 * k - 10, 2 * n - k - 2,
+                                     4 * k + 4),
+    "compare": lambda n, k: (6 * n - 3 * k - 5, 2 * n - k - 2, 2 * k + 3),
+    "compare-ic": lambda n, k: (6 * n - 2 * k - 4, 2 * n - k - 2, 2 * k + 5),
+    "mersenne-oop-ones": lambda n, k: (5 * n - 6, n - 2, 2 * k + 3),
+    "mersenne-ip-ones": lambda n, k: (10 * n - 11, 2 * n - 2, 4 * k + 7),
+    "mersenne-ip-zeros": lambda n, k: (10 * n - 11, 2 * n - 2, 4 * k + 7),
+}
+
+# widths where a circuit exists but a closed form is undefined
+# (floor_log2 of n - 1 = 0)
+NO_CLOSED_FORM = {("add-ip", 1), ("add-mod2n-oop", 1), ("add-mod2n-ip", 1),
+                  ("sub-ip", 1)}
+# widths with no circuit at all
+NO_CIRCUIT = {(v, 1) for v in VARIANTS
+              if v.startswith(("compare", "mersenne"))}
+FIELDS = ["toffoli", "cnot", "not", "ancilla", "depth"]
 
 
 def test_popcount_identity_examples():
@@ -14,14 +47,11 @@ def test_popcount_identity_examples():
 
 def test_formula_spot_values():
     e = formula_eval("add-oop", 10)
-    assert e["toffoli"] == 34 and e["ancilla"] == 5 and e["exact"]
+    assert e["toffoli"] == 34 and e["ancilla"] == 5
+    assert sorted(e) == sorted(FIELDS)
     e = formula_eval("add-ip-ic", 8)
     assert e["toffoli"] == 54 and e["depth"] == 16  # 4k + 4 with k = 3
     assert formula_eval("compare", 16)["toffoli"] == 79
-
-
-def test_formulas_not_guaranteed_below_validity():
-    assert formula_eval("add-oop", 6)["exact"] is False
 
 
 def test_unknown_variant_rejected():
@@ -35,15 +65,17 @@ def test_undefined_formulas_raise_circuit_error(vid):
     for n in range(7):
         try:
             formula_eval(vid, n)
-        except CircuitError:
-            pass
+        except CircuitError as exc:
+            assert f"{vid} has no closed form at n={n}" in str(exc)
 
 
-@pytest.mark.parametrize("vid", sorted(_POWER_OF_TWO_FORMS))
+@pytest.mark.parametrize("vid", sorted(POWER_OF_TWO_FORMS))
 def test_power_of_two_forms_consistent(vid):
-    # formula_eval raises if the general and specialized forms disagree
-    for k in range(3, 11):
-        formula_eval(vid, 1 << k)
+    for k in range(3, 12):
+        n = 1 << k
+        e = formula_eval(vid, n)
+        assert (e["toffoli"], e["ancilla"], e["depth"]) == \
+            POWER_OF_TWO_FORMS[vid](n, k), f"{vid} n=2^{k}"
 
 
 def test_verify_family_matches_measurements():
@@ -51,31 +83,40 @@ def test_verify_family_matches_measurements():
     assert results and all(r.ok for r in results)
 
 
-def test_verify_family_skips_below_validity():
-    assert verify_family("add-oop", [4, 5]) == []
-
-
-def test_verify_family_skips_widths_where_formulas_are_undefined():
-    from qcla.adders import VARIANTS
-
-    # log_third and floor_log2 of n - 1 are undefined at the smallest widths
+def test_verify_family_checks_every_small_width():
+    unchecked = set()
     for vid in VARIANTS:
-        assert verify_family(vid, range(1, 7)) == []
+        for r in verify_family(vid, range(1, 7)):
+            assert r.ok, str(r)
+            if r.reason is not None:
+                assert r.field == "resources"
+                unchecked.add((vid, r.n))
+    assert unchecked == NO_CLOSED_FORM | NO_CIRCUIT
 
 
-def test_depth_note_fires_only_above_the_lower_formula():
-    compare = FORMULAS["compare"]
-    # at n = 8 the two published depths differ: 2*3 + 5 and 2*2 + 5
-    assert (compare.depth(8), compare.depth_alt(8)) == (11, 9)
-    assert compare.depth_note(8, 10) == (
-        "depth 10 exceeds the lower of the two published formulas (9); "
-        "bound used: 11")
-    assert compare.depth_note(8, 9) is None
-    assert compare.depth_note(9, 11) is None  # both formulas give 11
-    assert FORMULAS["add-oop"].depth_note(8, 99) is None  # one formula only
+def test_verify_family_says_why_a_width_is_not_checked():
+    [r] = verify_family("compare", [1])
+    assert str(r) == ("compare n=1 resources: not checked "
+                      "(compare requires n >= 2, got 1)")
+    [r] = verify_family("add-ip", [1])
+    assert str(r) == ("add-ip n=1 resources: not checked (add-ip has no "
+                      "closed form at n=1: floor_log2 needs n >= 1, got 0)")
+
+
+def test_depth_is_a_bound_below_five_and_exact_from_there():
+    lines = [str(r) for r in verify_family("add-oop", [3, 5])
+             if r.field == "depth"]
+    assert lines == ["add-oop n=3 depth: expected at most 5, measured 3 [ok]",
+                     "add-oop n=5 depth: expected 6, measured 6 [ok]"]
+
+
+@given(st.sampled_from(VARIANTS), st.integers(2, 1100))
+@settings(max_examples=25, deadline=None)
+def test_verify_family_holds_beyond_the_grid(vid, n):
+    results = verify_family(vid, [n])
+    assert [r.field for r in results] == FIELDS
+    assert all(r.ok for r in results), [str(r) for r in results]
 
 
 def test_every_variant_has_formulas():
-    from qcla.adders import VARIANTS
-
     assert set(FORMULAS) == set(VARIANTS)

@@ -2,7 +2,7 @@
 
 ``golden_digests.json`` maps ``"variant/n"`` to the SHA-256 of
 ``emit_native(build_variant(variant, n))`` for the width grid and for every
-valid width from 1 to 6, below the range where the closed forms hold.  The
+valid width from 1 to 6, where the carry trees degenerate.  The
 table was made from the generators before their IR was reworked, so a
 refactor or optimisation that changes any gate, its order, a register or a
 barrier fails here.  Regenerate it only on purpose, from the repository
