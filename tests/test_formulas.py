@@ -83,15 +83,40 @@ def test_verify_family_matches_measurements():
     assert results and all(r.ok for r in results)
 
 
-def test_verify_family_checks_every_small_width():
-    unchecked = set()
-    for vid in VARIANTS:
-        for r in verify_family(vid, range(1, 7)):
+def _unchecked(vids, ns):
+    """The (variant, width) pairs verify_family reports as not checked."""
+    pairs = set()
+    for vid in vids:
+        for r in verify_family(vid, ns):
             assert r.ok, str(r)
             if r.reason is not None:
                 assert r.field == "resources"
-                unchecked.add((vid, r.n))
-    assert unchecked == NO_CLOSED_FORM | NO_CIRCUIT
+                pairs.add((vid, r.n))
+    return pairs
+
+
+def test_verify_family_checks_every_small_width():
+    skipped = NO_CLOSED_FORM | NO_CIRCUIT
+    for vid in VARIANTS:
+        for n in range(1, 7):
+            if (vid, n) in skipped:
+                continue
+            results = verify_family(vid, [n])
+            assert [r.field for r in results] == FIELDS, (vid, n)
+            assert all(r.ok for r in results), [str(r) for r in results]
+
+
+def test_verify_family_skips_below_validity():
+    # below a variant's minimum width there is no circuit to measure
+    minimal = sorted({v for v, _ in NO_CIRCUIT})
+    assert _unchecked(minimal, [1]) == NO_CIRCUIT
+    assert _unchecked(minimal, range(2, 7)) == set()
+
+
+def test_verify_family_skips_widths_where_formulas_are_undefined():
+    # floor_log2 of n - 1 is undefined at n = 1 although the circuit exists
+    built = [v for v in VARIANTS if (v, 1) not in NO_CIRCUIT]
+    assert _unchecked(built, range(1, 7)) == NO_CLOSED_FORM
 
 
 def test_verify_family_says_why_a_width_is_not_checked():
