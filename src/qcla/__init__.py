@@ -19,7 +19,7 @@ from .adders import (
     gen_sub,
     request_for,
 )
-from .carry import CarryNetworkSpec, build_carry_network
+from .carry import build_carry_network
 from .core import (
     Barrier,
     Circuit,
@@ -30,22 +30,16 @@ from .core import (
     RegisterLayout,
     ResourceReport,
     Role,
-    Wire,
-    constant_propagate,
-    invert,
-    lightcone,
     resource_report,
     schedule_asap,
 )
-from .formulas import formula_eval, popcount_identity_check, verify_family
+from .formulas import formula_eval, verify_family
 from .sim import (
     Counterexample,
     exhaustive_check,
     expected_state,
-    permutation_check,
     random_check,
     run_operands,
-    run_state,
 )
 from .textfmt import ParseError, emit_native, emit_qasm, parse_native
 
@@ -54,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdderRequest",
     "Barrier",
-    "CarryNetworkSpec",
     "Circuit",
     "CircuitError",
     "Counterexample",
@@ -66,11 +59,9 @@ __all__ = [
     "ResourceReport",
     "Role",
     "VARIANTS",
-    "Wire",
     "build",
     "build_carry_network",
     "build_variant",
-    "constant_propagate",
     "emit_native",
     "emit_qasm",
     "exhaustive_check",
@@ -82,16 +73,11 @@ __all__ = [
     "gen_add_oop",
     "gen_compare",
     "gen_sub",
-    "invert",
-    "lightcone",
     "parse_native",
-    "permutation_check",
-    "popcount_identity_check",
     "random_check",
     "request_for",
     "resource_report",
     "run_operands",
-    "run_state",
     "schedule_asap",
     "verify_family",
 ]

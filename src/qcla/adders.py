@@ -37,6 +37,7 @@ from operator import itemgetter
 from .carry import (
     PaddedRounds,
     WireFn,
+    build_carry_network,
     interval_slot_count,
     network_gates,
     padded_cells,
@@ -364,8 +365,8 @@ def gen_compare(n: int, incoming_carry: bool = False) -> Circuit:
     gates: list[Gate] = [not_(a, "negate") for a in A]
     gates += [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, m)]
     gates += [cnot(aw(i), bw(i), "init") for i in range(1, m)]
-    p_fw = rounds.p_gates("P")
-    g_all = rounds.g_gates("G")
+    p_fw = rounds.p_gates()
+    g_all = rounds.g_gates()
     sink = rounds.carry0_wire
     cone = gate_lightcone(g_all, sink)
     g_cone = [g for i, g in enumerate(g_all) if i in cone]
@@ -415,9 +416,9 @@ def gen_add_mersenne(n: int, in_place: bool = False,
 def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: int,
                      zero_rep: str) -> list[Gate]:
     """P / G / wraparound-C / inverse-P rounds for one end-around addition."""
-    p_fw = rounds.p_gates("P")
-    g_fw = rounds.g_gates("G")
-    c_fw = rounds.c_gates("C")
+    p_fw = rounds.p_gates()
+    g_fw = rounds.g_gates()
+    c_fw = rounds.c_gates()
     p_bw = retag(reversed(p_fw), "Pinv")
     if zero_rep == "zeros":
         # fold the full-width propagate into the wrapped carry before the
@@ -539,9 +540,7 @@ def request_for(variant_id: str, n: int) -> AdderRequest:
 def build_variant(variant_id: str, n: int) -> Circuit:
     """Build any variant, including the bare carry network."""
     if _ALIASES.get(variant_id, variant_id) == "carry-network":
-        from .carry import CarryNetworkSpec, build_carry_network
-
-        return build_carry_network(CarryNetworkSpec(n))
+        return build_carry_network(n)
     return build(request_for(variant_id, n))
 
 

@@ -13,14 +13,15 @@ Four round families build and then uncompute the tree:
 * C-rounds fan carries back down to the remaining positions,
 * inverse P-rounds erase the interval-propagate ancillae.
 
-``PaddedRounds`` additionally supports widths padded up to a power of two
-with constant propagate-1 / generate-0 positions (never materialized as
-wires), and wraparound carries for end-around addition.
+``network_gates`` emits the whole tree over caller-chosen wires, and
+``build_carry_network`` wraps it as the standalone ``carry-network``
+circuit.  ``PaddedRounds`` additionally supports widths padded up to a
+power of two with constant propagate-1 / generate-0 positions (never
+materialized as wires), and wraparound carries for end-around addition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
@@ -33,7 +34,6 @@ from .core import (
     RegisterLayout,
     Role,
     ccx,
-    invert,
     levelize,
     retag,
 )
@@ -91,32 +91,15 @@ def network_gates(n: int, slot: WireFn, gw: WireFn, pw: WireFn) -> list[Gate]:
     return levelize(p_gates + g_gates + c_gates + pinv)
 
 
-@dataclass(frozen=True)
-class CarryNetworkSpec:
-    """A standalone carry-computation circuit request.
-
-    ``direction="inverse"`` requests the exact gate reversal, which
-    uncomputes the carries back into per-position generate bits.
-    """
-
-    n: int
-    direction: str = "forward"
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise CircuitError(f"carry network needs n >= 1, got {self.n}")
-        if self.direction not in ("forward", "inverse"):
-            raise CircuitError(f"unknown direction {self.direction!r}")
-
-
-def build_carry_network(spec: CarryNetworkSpec) -> Circuit:
+def build_carry_network(n: int) -> Circuit:
     """Standalone width-``n`` carry circuit.
 
     Registers: ``B[n]`` holds the position propagate bits (``B[0]`` unused),
     ``Z[n]`` holds the generate bits on entry and the carries ``c_1..c_n`` on
     exit, ``X`` holds the interval-propagate ancillae (clean in, clean out).
     """
-    n = spec.n
+    if n < 1:
+        raise CircuitError(f"carry network needs n >= 1, got {n}")
     layout = RegisterLayout(
         [
             Register("B", n, Role.INPUT_B),
@@ -135,10 +118,7 @@ def build_carry_network(spec: CarryNetworkSpec) -> Circuit:
         if g.phase is not None and g.phase not in seen:
             seen.add(g.phase)
             barriers.append(Barrier(i, g.phase))
-    circuit = Circuit(layout, gates, barriers)
-    if spec.direction == "inverse":
-        return invert(circuit)
-    return circuit
+    return Circuit(layout, gates, barriers)
 
 
 def padded_cells(n: int, wrap: bool = False) -> list[tuple[int, int]]:
@@ -194,7 +174,7 @@ class PaddedRounds:
             return self.resolve_p(t - 1, 2 * m)
         return self.slots[(t, m)]
 
-    def p_gates(self, phase: str = "P") -> list[Gate]:
+    def p_gates(self) -> list[Gate]:
         gates = []
         for t in range(1, self.k):
             for m in range(0 if self.wrap else 1, self.N >> t):
@@ -205,14 +185,14 @@ class PaddedRounds:
                 if lo is _CONST1 or hi is _CONST1:
                     raise InternalConsistencyError(
                         "constant operand for a materialized interval slot")
-                gates.append(ccx(lo, hi, self.slots[(t, m)], phase))
+                gates.append(ccx(lo, hi, self.slots[(t, m)], "P"))
         return gates
 
     def full_prefix_propagate(self) -> tuple[int | object, int | object]:
         """The two wires whose AND is ``p[0, N)`` (requires ``wrap``)."""
         return self.resolve_p(self.k - 1, 0), self.resolve_p(self.k - 1, 1)
 
-    def g_gates(self, phase: str = "G") -> list[Gate]:
+    def g_gates(self) -> list[Gate]:
         """All G-round gates; sets ``self.carry0_wire`` to the wire that ends
         up holding ``g[0, N)`` (always the position-``n`` carry wire) and
         ``self.g_round_ends`` to the cumulative gate count after each round
@@ -234,14 +214,14 @@ class PaddedRounds:
                             "padding alias onto a live carry value")
                     home[j] = cv
                 else:
-                    gates.append(ccx(home[jc], pv, home[j], phase))
+                    gates.append(ccx(home[jc], pv, home[j], "G"))
             self.g_round_ends.append(len(gates))
         self.carry0_wire = home[self.N]
         if self.carry0_wire != self.gw(self.n):
             raise InternalConsistencyError("top carry not at position n")
         return gates
 
-    def c_gates(self, phase: str = "C") -> list[Gate]:
+    def c_gates(self) -> list[Gate]:
         """Wraparound C-rounds (requires ``wrap`` and a prior ``g_gates``)."""
         if not self.wrap:
             raise CircuitError("c_gates requires wrap=True")
@@ -250,12 +230,12 @@ class PaddedRounds:
         for t in range(self.k, 0, -1):
             j = 1 << (t - 1)
             if j <= self.n - 1:
-                gates.append(ccx(c0, self.resolve_p(t - 1, 0), self.gw(j), phase))
+                gates.append(ccx(c0, self.resolve_p(t - 1, 0), self.gw(j), "C"))
             m = 1
             while (m << t) + (1 << (t - 1)) <= self.n - 1:
                 gates.append(
                     ccx(self.gw(m << t), self.resolve_p(t - 1, 2 * m),
-                        self.gw((m << t) + (1 << (t - 1))), phase)
+                        self.gw((m << t) + (1 << (t - 1))), "C")
                 )
                 m += 1
         return gates

@@ -3,22 +3,17 @@
 Circuits are flat lists of NOT/CNOT/Toffoli gates acting on wires drawn from
 named registers.  The module provides:
 
-* ``Wire``, ``Gate``, ``Register``, ``RegisterLayout``, ``Circuit`` -- the IR
+* ``Gate``, ``Register``, ``RegisterLayout``, ``Circuit`` -- the IR
 * ``schedule_asap`` -- greedy in-order wire-disjoint slicing (depth)
 * ``levelize`` -- dependency-level gate ordering for maximal packing
 * ``resource_report`` -- gate counts, depth, ancilla tally
-* ``invert`` -- reverse a circuit (every gate is self-inverse)
-* ``constant_propagate`` -- simplify against compile-time-known wire values
-* ``lightcone`` -- backward cone of influence of a single wire
+* ``gate_lightcone`` -- backward cone of influence of a single wire
 
-Inside a circuit a wire is a plain ``int``: its flat position in the
-``RegisterLayout`` (the register's offset plus the bit index).  A ``Gate``
-is an immutable ``(kind, controls, target, phase)`` tuple over those ints,
-so hot loops unpack gates directly and index per-wire lists.  ``Wire``, the
-``(register, index)`` name of a wire, lives only at the edges: the text
-format, the CLI, and the wire arguments of ``lightcone``,
-``constant_propagate`` and ``run_state``; ``RegisterLayout.flat_index`` and
-``RegisterLayout.wire_at`` convert between the two.
+A wire is a plain ``int``: its flat position in the ``RegisterLayout`` (the
+register's offset plus the bit index).  A ``Gate`` is an immutable
+``(kind, controls, target, phase)`` tuple over those ints, so hot loops
+unpack gates directly and index per-wire lists.  Only the text format names
+a wire by register and bit, through :meth:`RegisterLayout.wire_at`.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class CircuitError(ValueError):
@@ -48,30 +43,6 @@ class Role(str, Enum):
     OUTPUT = "output"
     ANCILLA = "ancilla"
     CARRY_IN = "carry-in"
-
-
-class Wire(tuple):
-    """A bit line named by register + index (0 = LSB), for the edges.
-
-    A ``Wire`` is an immutable ``(register, index)`` tuple: it hashes and
-    compares as that tuple, so ``Wire("A", 3) == ("A", 3)``.  Gates do not
-    hold ``Wire`` objects; they hold flat indices (see
-    :meth:`RegisterLayout.flat_index`).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, register: str, index: int) -> Wire:
-        return tuple.__new__(cls, (register, index))
-
-    register = property(itemgetter(0), doc="Register name.")
-    index = property(itemgetter(1), doc="Bit position in the register.")
-
-    def __getnewargs__(self) -> tuple[str, int]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"{self[0]}[{self[1]}]"
 
 
 class GateKind(Enum):
@@ -193,26 +164,14 @@ class RegisterLayout:
         off = self._offsets[name]
         return list(range(off, off + self._by_name[name].size))
 
-    def flat_index(self, wire: Wire) -> int:
-        """Position of a wire in the layout's flattened bit order."""
-        name, index = wire
-        reg = self._by_name.get(name)
-        if reg is None or not 0 <= index < reg.size:
-            raise CircuitError(f"wire {wire!r} not in layout")
-        return self._offsets[name] + index
-
-    def wire_at(self, index: int) -> Wire:
-        """The wire at a flat index (the inverse of :meth:`flat_index`)."""
+    def wire_at(self, index: int) -> tuple[str, int]:
+        """The ``(register, bit)`` pair of a flat index."""
         if not 0 <= index < self.total_size:
             raise CircuitError(f"flat index {index} not in layout")
         # the last register starting at or below the index holds it: an
         # empty register shares its start with the register after it
         r = self.registers[bisect_right(self._starts, index) - 1]
-        return Wire(r.name, index - self._offsets[r.name])
-
-    def all_wires(self) -> list[Wire]:
-        """Every wire, in flat-index order."""
-        return [Wire(r.name, i) for r in self.registers for i in range(r.size)]
+        return r.name, index - self._offsets[r.name]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RegisterLayout) and self.registers == other.registers
@@ -288,15 +247,6 @@ def _width(gates: Sequence[Gate]) -> int:
     return 1 + max(chain(map(_TARGET, gates),
                          chain.from_iterable(map(_CONTROLS, gates))),
                    default=-1)
-
-
-def invert(circuit: Circuit) -> Circuit:
-    """The inverse circuit: the same gates in reverse order."""
-    n = len(circuit.gates)
-    barriers = tuple(
-        Barrier(n - b.position, b.label) for b in reversed(circuit.barriers)
-    )
-    return Circuit(circuit.layout, tuple(reversed(circuit.gates)), barriers)
 
 
 def schedule_asap(circuit: Circuit) -> list[list[int]]:
@@ -413,62 +363,6 @@ def resource_report(circuit: Circuit) -> ResourceReport:
         ancilla_count=anc,
         width=circuit.layout.total_size,
     )
-
-
-def constant_propagate(circuit: Circuit, constants: Mapping[Wire, int]) -> Circuit:
-    """Simplify a circuit against wires with compile-time-known values.
-
-    Rules, applied in one forward pass with constant tracking:
-
-    * a control known to be 0 deletes the gate;
-    * a control known to be 1 is dropped (Toffoli -> CNOT -> NOT);
-    * a gate whose target value stays compile-time-known updates the tracked
-      constant and emits no gate.
-
-    The result is equivalent to the input on all non-constant wires.  Reading
-    one of the *declared* constant wires after it has been overwritten with a
-    non-constant value raises :class:`InternalConsistencyError`.
-    """
-    layout = circuit.layout
-    known: dict[int, int] = {}
-    for w, v in constants.items():
-        if v not in (0, 1):
-            raise CircuitError(f"constant for {w!r} must be 0 or 1, got {v}")
-        known[layout.flat_index(w)] = v
-    declared = set(known)
-    clobbered: set[int] = set()
-    out: list[Gate] = []
-    old_to_new: list[int] = []
-    kinds = (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)
-    for _, controls, target, phase in circuit.gates:
-        old_to_new.append(len(out))
-        for c in controls:
-            if c in clobbered:
-                raise InternalConsistencyError(
-                    f"declared-constant wire {layout.wire_at(c)!r} read "
-                    f"after non-constant write")
-        vals = [known.get(c) for c in controls]
-        if 0 in vals:
-            continue
-        live = tuple(c for c, v in zip(controls, vals) if v is None)
-        if target in known:
-            if not live:
-                known[target] ^= 1
-                continue
-            del known[target]
-            if target in declared:
-                clobbered.add(target)
-        out.append(Gate(kinds[len(live)], live, target, phase))
-    old_to_new.append(len(out))
-    barriers = tuple(
-        Barrier(old_to_new[b.position], b.label) for b in circuit.barriers
-    )
-    return Circuit(layout, out, barriers)
-
-
-def lightcone(circuit: Circuit, sink: Wire) -> set[int]:
-    """Indices of gates that can influence the final value of ``sink``."""
-    return gate_lightcone(circuit.gates, circuit.layout.flat_index(sink))
 
 
 def gate_lightcone(gates: Sequence[Gate], sink: int) -> set[int]:

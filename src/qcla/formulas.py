@@ -6,8 +6,9 @@ time-slices containing a Toffoli).  The counts are exact wherever the
 closed forms are defined, which is every width with a circuit except
 ``n = 1`` of ``add-ip``, ``add-mod2n-oop``, ``add-mod2n-ip`` and
 ``sub-ip``.  The depth is exact from ``n = 5``; below that the carry trees
-degenerate and it is an upper bound.  ``verify_family`` rebuilds circuits
-and diffs measured resources against the closed forms.
+degenerate and it is an upper bound.  ``verify_family`` builds circuits,
+diffs measured resources against the closed forms and, at widths up to
+``EXHAUSTIVE_UPTO``, checks each circuit on every input.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from typing import Callable, Iterable
 from .adders import VARIANTS, build_variant
 from .carry import floor_log2
 from .core import CircuitError, resource_report
+from .sim import Counterexample, exhaustive_check
 
 DEPTH_EXACT_FROM = 5
+EXHAUSTIVE_UPTO = 8
 
 
 def popcount(n: int) -> int:
@@ -32,19 +35,6 @@ def log_third(n: int) -> int:
     if n < 1:
         raise CircuitError(f"log_third needs n >= 1, got {n}")
     return floor_log2(n // 3) if n >= 3 else n - 3
-
-
-def popcount_identity_check(limit: int) -> bool:
-    """``n - w(n) = sum_{t>=1} floor(n / 2^t)`` for ``1 <= n <= limit``."""
-    for n in range(1, limit + 1):
-        total = 0
-        t = 1
-        while (n >> t) > 0:
-            total += n >> t
-            t += 1
-        if n - popcount(n) != total:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -213,8 +203,10 @@ def formula_eval(variant_id: str, n: int) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class VerifyResult:
-    """One resource checked at one width; or, with ``reason`` set, a width
-    that could not be checked (field ``resources``) and why."""
+    """One resource checked at one width, or (field ``exhaustive``) the
+    check of every input at one width, with its first counterexample when
+    it fails; or, with ``reason`` set, a width that could not be checked
+    and why."""
 
     variant_id: str
     n: int
@@ -223,11 +215,14 @@ class VerifyResult:
     measured: int | None
     ok: bool
     reason: str | None = None
+    counterexample: Counterexample | None = None
 
     def __str__(self) -> str:
         head = f"{self.variant_id} n={self.n} {self.field}: "
         if self.reason is not None:
             return f"{head}not checked ({self.reason})"
+        if self.field == "exhaustive":
+            return head + ("ok" if self.ok else f"FAIL ({self.counterexample})")
         bound = self.field == "depth" and self.n < DEPTH_EXACT_FROM
         status = "ok" if self.ok else "MISMATCH"
         return (f"{head}expected {'at most ' if bound else ''}"
@@ -240,14 +235,29 @@ def verify_family(variant_id: str, ns: Iterable[int]) -> list[VerifyResult]:
     The four counts must equal their closed forms, and so must the depth
     from ``n = DEPTH_EXACT_FROM``; below that the depth must not exceed it.
     A width with no circuit, or where a closed form is undefined, gives
-    one ``resources`` result that says why it was not checked.
+    one ``resources`` result that says why it was not checked.  Each
+    circuit up to ``n = EXHAUSTIVE_UPTO`` is also checked on every input;
+    those ``exhaustive`` results follow all the resource results.
     """
     if variant_id not in FORMULAS:
         raise CircuitError(f"unknown variant {variant_id!r}")
-    results = []
+    results, exhaustive = [], []
     for n in ns:
         try:
             circuit = build_variant(variant_id, n)
+        except CircuitError as exc:
+            results.append(VerifyResult(variant_id, n, "resources", None,
+                                        None, True, str(exc)))
+            if n <= EXHAUSTIVE_UPTO:
+                exhaustive.append(VerifyResult(variant_id, n, "exhaustive",
+                                               None, None, True, str(exc)))
+            continue
+        if n <= EXHAUSTIVE_UPTO:
+            cex = exhaustive_check(variant_id, n, circuit=circuit)
+            exhaustive.append(VerifyResult(variant_id, n, "exhaustive", None,
+                                           None, cex is None,
+                                           counterexample=cex))
+        try:
             values = formula_eval(variant_id, n)
         except CircuitError as exc:
             results.append(VerifyResult(variant_id, n, "resources", None,
@@ -267,4 +277,4 @@ def verify_family(variant_id: str, ns: Iterable[int]) -> list[VerifyResult]:
         results.append(VerifyResult(
             variant_id, n, "depth", bound, depth,
             depth == bound if n >= DEPTH_EXACT_FROM else depth <= bound))
-    return results
+    return results + exhaustive

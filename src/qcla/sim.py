@@ -4,9 +4,10 @@ The simulator runs many computational-basis samples at once: each wire is
 represented by one arbitrary-precision integer whose bit ``s`` is the wire's
 value in sample ``s``, so a CNOT is one XOR and a Toffoli one AND plus one
 XOR across every sample simultaneously.  The state is a list of these
-columns indexed by flat wire index, so a register is a slice of it.  Exhaustive checks enumerate all
-operand combinations as stride patterns; randomized checks pack a batch of
-random operands into the same column form.
+columns indexed by flat wire index, so a register is a slice of it.
+Exhaustive checks enumerate all operand combinations as stride patterns;
+randomized checks pack a batch of random operands into the same column
+form.
 
 The oracle works on the same columns: a ripple-carry adder written as O(n)
 AND/XOR operations over all samples at once gives the expected final column
@@ -19,32 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .adders import VARIANTS, build_variant
-from .core import Circuit, CircuitError, Gate, GateKind, Wire
-
-# ---------------------------------------------------------------------------
-# Carry-status algebra
-
-
-KILL, PROP, GEN = (0, 0), (1, 0), (0, 1)
-STATUSES = (KILL, PROP, GEN)
-
-
-def status_of(a_bit: int, b_bit: int) -> tuple[int, int]:
-    """The (propagate, generate) status of one operand bit pair."""
-    return (a_bit ^ b_bit, a_bit & b_bit)
-
-
-def compose(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """Status composition: ``x`` spans the lower interval, ``y`` the upper."""
-    px, gx = x
-    py, gy = y
-    return (px & py, gy ^ (gx & py))
-
+from .core import Circuit, CircuitError, GateKind
 
 # ---------------------------------------------------------------------------
 # Column simulation
@@ -55,16 +36,11 @@ def zero_columns(circuit: Circuit) -> list[int]:
     return [0] * circuit.layout.total_size
 
 
-def run_columns(
-    circuit: Circuit,
-    cols: list[int],
-    mask: int,
-    gates: Sequence[Gate] | None = None,
-) -> list[int]:
+def run_columns(circuit: Circuit, cols: list[int], mask: int) -> list[int]:
     """Apply the gates to bit columns (one per flat wire index) in place;
     ``mask`` covers all samples."""
     not_kind, cnot_kind = GateKind.NOT, GateKind.CNOT
-    for kind, controls, target, _ in circuit.gates if gates is None else gates:
+    for kind, controls, target, _ in circuit.gates:
         if kind is not_kind:
             cols[target] ^= mask
         elif kind is cnot_kind:
@@ -72,16 +48,6 @@ def run_columns(
         else:
             cols[target] ^= cols[controls[0]] & cols[controls[1]]
     return cols
-
-
-def run_state(circuit: Circuit, values: Mapping[Wire, int]) -> dict[Wire, int]:
-    """Run a single sample given per-wire bit values (missing wires are 0)."""
-    layout = circuit.layout
-    cols = zero_columns(circuit)
-    for w, v in values.items():
-        cols[layout.flat_index(w)] = v & 1
-    run_columns(circuit, cols, 1)
-    return dict(zip(layout.all_wires(), cols))
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +362,3 @@ def random_check(variant_id: str, n: int, samples: int = 1000,
         cols[off:off + width] = values_to_columns(ops[op], width)
     return _check_columns(circuit, variant_id, n, cols, samples)
 
-
-def permutation_check(circuit: Circuit) -> bool:
-    """Whether the circuit permutes the full computational basis.
-
-    Enumerates every basis state, so the total width is limited to 20 wires.
-    """
-    width = circuit.layout.total_size
-    if width > 20:
-        raise CircuitError("permutation check limited to 20 wires")
-    nsamples = 1 << width
-    cols = [stride_column(i, nsamples) for i in range(width)]
-    run_columns(circuit, cols, (1 << nsamples) - 1)
-    states = columns_to_values(cols, nsamples)
-    return len(set(states)) == nsamples

@@ -47,7 +47,8 @@ class _WireTokens(dict):
         self.wire_at = layout.wire_at
 
     def __missing__(self, index: int) -> str:
-        token = self[index] = repr(self.wire_at(index))
+        name, bit = self.wire_at(index)
+        token = self[index] = f"{name}[{bit}]"
         return token
 
 

@@ -99,7 +99,7 @@ def gc_boundary_ok(n: int) -> bool:
     for t in range(n):
         cols[Z[t]] = g_col[t]
         cols[B[t]] = p_col[t]
-    run_columns(circuit, cols, (1 << nsamples) - 1, prefix)
+    run_columns(Circuit(circuit.layout, prefix), cols, (1 << nsamples) - 1)
     for j in range(1, n + 1):
         i = (j - 1) & j
         g_acc, p_acc = g_col[j - 1], p_col[j - 1]

@@ -22,25 +22,18 @@ import numpy as np
 import pytest
 
 from conftest import GRID, gc_boundary_ok, valid_small_widths
-from qcla import (
-    Wire,
-    build_variant,
-    constant_propagate,
-    exhaustive_check,
-    invert,
-    popcount_identity_check,
-    random_check,
-    resource_report,
-)
+from qcla import build_variant, exhaustive_check, random_check, resource_report
 from qcla.adders import VARIANTS
 from qcla.carry import ceil_log2, floor_log2
 from qcla.formulas import popcount
-from qcla.sim import (
+from qcla.sim import run_columns, stride_column, zero_columns
+
+from helpers import (
     STATUSES,
     compose,
-    run_columns,
-    stride_column,
-    zero_columns,
+    constant_propagate,
+    invert,
+    popcount_identity_check,
 )
 
 
@@ -163,33 +156,31 @@ def _compare_constant_propagation_ok(n: int) -> bool:
     padded circuit on every live wire, for every operand pair."""
     m = 1 << ceil_log2(n)
     padded = build_variant("compare", m)
+    A, B, Z = (padded.layout.indices(r) for r in "ABZ")
     constants = {}
     for i in range(n, m):
-        constants[Wire("A", i)] = 0
-        constants[Wire("B", i)] = 0
+        constants[A[i]] = 0
+        constants[B[i]] = 0
     simplified = constant_propagate(padded, constants)
     nsamples = 1 << (2 * n)
     mask = (1 << nsamples) - 1
 
-    layout = padded.layout
-
     def run(circuit):
         cols = zero_columns(padded)
         for t in range(n):
-            cols[layout.flat_index(Wire("A", t))] = stride_column(t, nsamples)
-            cols[layout.flat_index(Wire("B", t))] = stride_column(n + t,
-                                                                  nsamples)
+            cols[A[t]] = stride_column(t, nsamples)
+            cols[B[t]] = stride_column(n + t, nsamples)
         return run_columns(circuit, cols, mask)
 
     full, simp = run(padded), run(simplified)
-    if any(full[i] != simp[i] for i, w in enumerate(layout.all_wires())
-           if w not in constants):
+    if any(full[i] != simp[i] for i in range(padded.layout.total_size)
+           if i not in constants):
         return False
     z_expected = 0
     for s in range(nsamples):
         a, b = s & ((1 << n) - 1), s >> n
         z_expected |= int(a >= b) << s
-    return simp[layout.flat_index(Wire("Z", 0))] == z_expected
+    return simp[Z[0]] == z_expected
 
 
 def test_criterion_7_property_suites():

@@ -7,7 +7,6 @@ from qcla import (
     AdderRequest,
     CircuitError,
     GateKind,
-    Wire,
     build_variant,
     gen_compare,
     request_for,
@@ -124,7 +123,7 @@ def test_compare_g_round_structure_width_seven():
     g_ccx = [g for g in c.gates
              if g.phase == "G" and g.kind is GateKind.TOFFOLI]
     assert len(g_ccx) == 6
-    z0 = c.layout.flat_index(Wire("Z", 0))
+    z0 = c.layout.indices("Z")[0]
     assert sum(g.target == z0 for g in g_ccx) == 2
     undo = [g for g in c.gates
             if g.phase == "fixup" and g.kind is GateKind.TOFFOLI]
@@ -171,9 +170,9 @@ def fold_by_search(rounds: PaddedRounds, wrap_wire: int) -> list:
     """The ``zeros`` rounds by brute force: levelize the order with the fold
     gate at every G-round boundary and keep the first one with the fewest
     Toffoli slices."""
-    p_fw = rounds.p_gates("P")
-    g_fw = rounds.g_gates("G")
-    c_fw = rounds.c_gates("C")
+    p_fw = rounds.p_gates()
+    g_fw = rounds.g_gates()
+    c_fw = rounds.c_gates()
     p_bw = retag(reversed(p_fw), "Pinv")
     extra = ccx(*rounds.full_prefix_propagate(), wrap_wire, "C")
     layout = RegisterLayout([Register("W", 2 * rounds.n + len(rounds.slots),

@@ -4,25 +4,19 @@ import pytest
 
 from conftest import gc_boundary_ok
 from qcla import CircuitError, build_variant, resource_report
-from qcla.carry import CarryNetworkSpec, ceil_log2, floor_log2, interval_slot_count
+from qcla.carry import (
+    build_carry_network,
+    ceil_log2,
+    floor_log2,
+    interval_slot_count,
+)
 from qcla.formulas import log_third, popcount
 from qcla.sim import exhaustive_check
 
 
 def test_width_must_be_positive():
     with pytest.raises(CircuitError):
-        CarryNetworkSpec(0)
-
-
-def test_inverse_direction_is_gate_reversal():
-    from qcla import invert
-    from qcla.carry import build_carry_network
-
-    fwd = build_carry_network(CarryNetworkSpec(10))
-    inv = build_carry_network(CarryNetworkSpec(10, "inverse"))
-    assert list(inv.gates) == list(invert(fwd).gates)
-    with pytest.raises(CircuitError):
-        CarryNetworkSpec(5, "sideways")
+        build_carry_network(0)
 
 
 def test_log_helpers():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcla
-from qcla import build_variant, emit_native, resource_report
+from qcla import Circuit, GateKind, build_variant, emit_native, resource_report
 from qcla.adders import VARIANTS
 from qcla.cli import main
 
@@ -193,6 +193,56 @@ def test_verify_names_a_width_without_a_circuit(capsys):
             "got 1)") in out
     assert "compare n=1 exhaustive: not checked (compare requires n >= 2" in out
     assert "compare n=2 exhaustive: ok" in out
+
+
+def test_verify_builds_each_width_once(monkeypatch):
+    # verify once rebuilt every width up to 8 for its exhaustive check
+    calls = []
+    original = qcla.adders.build_variant
+
+    def counting(vid, n):
+        calls.append((vid, n))
+        return original(vid, n)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.split(".")[0] == "qcla":
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    assert main(["verify", "--family", "add-ip", "--range", "1..10"]) == 0
+    assert calls == [("add-ip", n) for n in range(1, 11)]
+
+
+def test_verify_prints_exhaustive_failures_after_every_resource_line(
+        monkeypatch, capsys):
+    build = qcla.adders.build
+
+    def drop_first_toffoli(request):
+        c = build(request)
+        i = next(i for i, g in enumerate(c.gates)
+                 if g.kind is GateKind.TOFFOLI)
+        return Circuit(c.layout, c.gates[:i] + c.gates[i + 1:])
+
+    monkeypatch.setattr(qcla.adders, "build", drop_first_toffoli)
+    code, out, _ = run(capsys, "verify", "--family", "add-oop",
+                       "--range", "2..3")
+    assert code == 1
+    assert out.splitlines() == [
+        "add-oop n=2 toffoli: expected 3, measured 2 [MISMATCH]",
+        "add-oop n=2 cnot: expected 5, measured 5 [ok]",
+        "add-oop n=2 not: expected 0, measured 0 [ok]",
+        "add-oop n=2 ancilla: expected 0, measured 0 [ok]",
+        "add-oop n=2 depth: expected at most 4, measured 2 [ok]",
+        "add-oop n=3 toffoli: expected 5, measured 4 [MISMATCH]",
+        "add-oop n=3 cnot: expected 8, measured 8 [ok]",
+        "add-oop n=3 not: expected 0, measured 0 [ok]",
+        "add-oop n=3 ancilla: expected 0, measured 0 [ok]",
+        "add-oop n=3 depth: expected at most 5, measured 3 [ok]",
+        "add-oop n=2 exhaustive: FAIL (add-oop n=2: a=1 b=1: register Z = 0, "
+        "expected 2)",
+        "add-oop n=3 exhaustive: FAIL (add-oop n=3: a=1 b=1: register Z = 0, "
+        "expected 2)",
+    ]
 
 
 @given(st.sampled_from(VARIANTS), st.integers(1, 9), st.integers(0, 8))

@@ -13,28 +13,20 @@ from qcla import (
     Register,
     RegisterLayout,
     Role,
-    Wire,
     build_variant,
-    constant_propagate,
-    invert,
-    lightcone,
     resource_report,
     schedule_asap,
 )
 from qcla.adders import VARIANTS
-from qcla.core import cnot, ccx, levelize, not_
-from qcla.sim import run_columns, stride_column, zero_columns
+from qcla.core import cnot, ccx, gate_lightcone, levelize, not_
+from qcla.sim import run_columns, stride_column
 
 from conftest import GRID, toffoli_depth, valid_small_widths
+from helpers import constant_propagate, invert
 
 
 def small_layout(size: int = 6) -> RegisterLayout:
     return RegisterLayout([Register("W", size, Role.OUTPUT)])
-
-
-def w(i: int) -> Wire:
-    """The wire at flat index ``i`` of ``small_layout``, by name."""
-    return Wire("W", i)
 
 
 @st.composite
@@ -50,12 +42,12 @@ def random_gates(draw, nwires: int = 6, max_gates: int = 25):
     return gates
 
 
-def final_columns(circuit: Circuit, gates=None) -> list[int]:
+def final_columns(circuit: Circuit) -> list[int]:
     """Run on all basis states at once (wire i's input = stride pattern i)."""
     n = circuit.layout.total_size
     nsamples = 1 << n
     cols = [stride_column(i, nsamples) for i in range(n)]
-    return run_columns(circuit, cols, (1 << nsamples) - 1, gates)
+    return run_columns(circuit, cols, (1 << nsamples) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +82,7 @@ def test_circuit_rejects_foreign_wires_and_bad_barriers():
     with pytest.raises(CircuitError):
         Circuit(layout, [not_(2)])  # past the end of the layout
     with pytest.raises(CircuitError):
-        Circuit(layout, [not_(Wire("W", 0))])  # a name, not a flat index
+        Circuit(layout, [not_(("W", 0))])  # a name, not a flat index
     with pytest.raises(CircuitError):
         Circuit(layout, [not_(0)], [Barrier(5, "P")])
 
@@ -132,7 +124,8 @@ def test_slices_are_wire_disjoint_and_cover_in_order(gates):
 @settings(max_examples=40, deadline=None)
 def test_levelize_preserves_semantics(gates):
     c = Circuit(small_layout(), gates)
-    assert final_columns(c) == final_columns(c, levelize(gates))
+    assert final_columns(c) == final_columns(Circuit(c.layout,
+                                                     levelize(gates)))
 
 
 def test_levelize_never_reorders_wire_sharing_gates():
@@ -221,26 +214,26 @@ def test_report_slice_bounds(gates):
 
 def test_toffoli_control_known_one_becomes_cnot():
     c = Circuit(small_layout(3), [ccx(0, 1, 2)])
-    out = constant_propagate(c, {w(0): 1})
+    out = constant_propagate(c, {0: 1})
     assert [g.kind for g in out.gates] == [GateKind.CNOT]
     assert out.gates[0].controls == (1,)
 
 
 def test_toffoli_control_known_zero_is_deleted():
     c = Circuit(small_layout(3), [ccx(0, 1, 2)])
-    assert len(constant_propagate(c, {w(0): 0}).gates) == 0
+    assert len(constant_propagate(c, {0: 0}).gates) == 0
 
 
 def test_cnot_control_rules():
     c = Circuit(small_layout(3), [cnot(0, 1)])
-    assert len(constant_propagate(c, {w(0): 0}).gates) == 0
-    out = constant_propagate(c, {w(0): 1})
+    assert len(constant_propagate(c, {0: 0}).gates) == 0
+    out = constant_propagate(c, {0: 1})
     assert [g.kind for g in out.gates] == [GateKind.NOT]
 
 
 def test_writes_to_tracked_constants_fold_away():
     gates = [not_(0), cnot(0, 1)]  # w0 stays compile-time-known
-    out = constant_propagate(Circuit(small_layout(2), gates), {w(0): 0})
+    out = constant_propagate(Circuit(small_layout(2), gates), {0: 0})
     assert [g.kind for g in out.gates] == [GateKind.NOT]
     assert out.gates[0].target == 1
 
@@ -267,14 +260,14 @@ def gates_targeting_live_wires(draw):
 @settings(max_examples=60, deadline=None)
 def test_constant_propagation_preserves_live_wires(gates, const_bits):
     c = Circuit(small_layout(), gates)
-    constants = {w(i): (const_bits >> i) & 1 for i in range(3)}
+    constants = {i: (const_bits >> i) & 1 for i in range(3)}
     out = constant_propagate(c, constants)
     # exhaustive over the non-constant inputs; constants pinned to their value
     nsamples = 1 << 3
     mask = (1 << nsamples) - 1
 
     def run(circ):
-        cols = [mask * constants[w(i)] for i in range(3)]
+        cols = [mask * constants[i] for i in range(3)]
         cols += [stride_column(j, nsamples) for j in range(3)]
         return run_columns(circ, cols, mask)
 
@@ -289,20 +282,18 @@ def test_constant_propagation_preserves_live_wires(gates, const_bits):
 
 def test_lightcone_direct_writer_only():
     gates = [cnot(0, 1), cnot(2, 3)]
-    c = Circuit(small_layout(4), gates)
-    assert lightcone(c, w(3)) == {1}
+    assert gate_lightcone(gates, 3) == {1}
 
 
 def test_lightcone_excludes_dead_gates():
     gates = [cnot(0, 1), cnot(1, 2), not_(3)]
-    c = Circuit(small_layout(4), gates)
-    assert lightcone(c, w(2)) == {0, 1}
+    assert gate_lightcone(gates, 2) == {0, 1}
 
 
 @given(random_gates(), st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
 def test_lightcone_soundness(gates, sink_idx):
     c = Circuit(small_layout(), gates)
-    cone = lightcone(c, w(sink_idx))
-    kept = [g for i, g in enumerate(gates) if i in cone]
-    assert final_columns(c)[sink_idx] == final_columns(c, kept)[sink_idx]
+    cone = gate_lightcone(gates, sink_idx)
+    kept = Circuit(c.layout, [g for i, g in enumerate(gates) if i in cone])
+    assert final_columns(c)[sink_idx] == final_columns(kept)[sink_idx]

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcla import CircuitError, formula_eval, popcount_identity_check, verify_family
+from qcla import CircuitError, formula_eval, verify_family
 from qcla.adders import VARIANTS
-from qcla.formulas import FORMULAS, popcount
+from qcla.formulas import EXHAUSTIVE_UPTO, FORMULAS, popcount
+
+from helpers import popcount_identity_check
 
 # The paper's simplified closed forms at n = 2^k, as (toffoli, ancilla,
 # depth), for the variants whose references give them: a cross-check of the
@@ -83,15 +85,17 @@ def test_verify_family_matches_measurements():
     assert results and all(r.ok for r in results)
 
 
-def _unchecked(vids, ns):
-    """The (variant, width) pairs verify_family reports as not checked."""
+def _unchecked(vids, ns, field="resources"):
+    """The (variant, width) pairs whose ``field`` (``resources`` or
+    ``exhaustive``) verify_family reports as not checked."""
     pairs = set()
     for vid in vids:
         for r in verify_family(vid, ns):
             assert r.ok, str(r)
             if r.reason is not None:
-                assert r.field == "resources"
-                pairs.add((vid, r.n))
+                assert r.field in ("resources", "exhaustive")
+                if r.field == field:
+                    pairs.add((vid, r.n))
     return pairs
 
 
@@ -102,7 +106,8 @@ def test_verify_family_checks_every_small_width():
             if (vid, n) in skipped:
                 continue
             results = verify_family(vid, [n])
-            assert [r.field for r in results] == FIELDS, (vid, n)
+            assert [r.field for r in results] == FIELDS + ["exhaustive"], \
+                (vid, n)
             assert all(r.ok for r in results), [str(r) for r in results]
 
 
@@ -110,6 +115,7 @@ def test_verify_family_skips_below_validity():
     # below a variant's minimum width there is no circuit to measure
     minimal = sorted({v for v, _ in NO_CIRCUIT})
     assert _unchecked(minimal, [1]) == NO_CIRCUIT
+    assert _unchecked(minimal, [1], "exhaustive") == NO_CIRCUIT
     assert _unchecked(minimal, range(2, 7)) == set()
 
 
@@ -117,15 +123,20 @@ def test_verify_family_skips_widths_where_formulas_are_undefined():
     # floor_log2 of n - 1 is undefined at n = 1 although the circuit exists
     built = [v for v in VARIANTS if (v, 1) not in NO_CIRCUIT]
     assert _unchecked(built, range(1, 7)) == NO_CLOSED_FORM
+    # the circuit is still checked on every input
+    assert _unchecked(built, range(1, 7), "exhaustive") == set()
 
 
 def test_verify_family_says_why_a_width_is_not_checked():
-    [r] = verify_family("compare", [1])
+    r, e = verify_family("compare", [1])
     assert str(r) == ("compare n=1 resources: not checked "
                       "(compare requires n >= 2, got 1)")
-    [r] = verify_family("add-ip", [1])
+    assert str(e) == ("compare n=1 exhaustive: not checked "
+                      "(compare requires n >= 2, got 1)")
+    r, e = verify_family("add-ip", [1])
     assert str(r) == ("add-ip n=1 resources: not checked (add-ip has no "
                       "closed form at n=1: floor_log2 needs n >= 1, got 0)")
+    assert str(e) == "add-ip n=1 exhaustive: ok"
 
 
 def test_depth_is_a_bound_below_five_and_exact_from_there():
@@ -139,7 +150,8 @@ def test_depth_is_a_bound_below_five_and_exact_from_there():
 @settings(max_examples=25, deadline=None)
 def test_verify_family_holds_beyond_the_grid(vid, n):
     results = verify_family(vid, [n])
-    assert [r.field for r in results] == FIELDS
+    assert [r.field for r in results] == \
+        FIELDS + ["exhaustive"] * (n <= EXHAUSTIVE_UPTO)
     assert all(r.ok for r in results), [str(r) for r in results]
 
 
