@@ -59,6 +59,9 @@ def _read_circuit(path: str) -> tuple[Circuit, str | None, int | None]:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text ({exc})", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
     try:
         circuit = parse_native(text)
     except ParseError as exc:

@@ -6,8 +6,8 @@ value in sample ``s``, so a CNOT is one XOR and a Toffoli one AND plus one
 XOR across every sample simultaneously.  The state is a list of these
 columns indexed by flat wire index, so a register is a slice of it.
 Exhaustive checks enumerate all operand combinations as stride patterns;
-randomized checks pack a batch of random operands into the same column
-form.
+randomized checks draw each input column directly, since uniform random
+operands are independent uniform bits in every column.
 
 The oracle works on the same columns: a ripple-carry adder written as O(n)
 AND/XOR operations over all samples at once gives the expected final column
@@ -18,11 +18,10 @@ assignment (:func:`expected_state`) is its one-sample case.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .adders import VARIANTS, build_variant
 from .core import Circuit, CircuitError, GateKind
@@ -65,43 +64,28 @@ def stride_column(bit: int, total_bits: int) -> int:
     return col & ((1 << total_bits) - 1)
 
 
-def _rows(values: Sequence[int], nbytes: int) -> np.ndarray:
-    """Integers as the little-endian byte rows of a uint8 matrix."""
-    raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
-
-
-def _transpose_bits(rows: np.ndarray, nbits: int) -> np.ndarray:
-    """Bit-transpose the low ``nbits`` bits of each row: packed row ``j``
-    of the result holds bit ``j`` of every input row."""
-    nrows, nbytes = rows.shape
-    # unpack byte column by byte column, so the transposing copy moves runs
-    # of 8 bits rather than single bits
-    bits = np.unpackbits(np.ascontiguousarray(rows.T), axis=1,
-                         bitorder="little")
-    bits = bits.reshape(nbytes, nrows, 8).transpose(0, 2, 1)
-    return np.packbits(bits.reshape(8 * nbytes, nrows)[:nbits], axis=1,
-                       bitorder="little")
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Bit-transpose: integer ``j`` of the result holds bit ``j`` of every
+    row, row ``i`` at bit ``i`` (bits of a row at or past ``width`` are
+    ignored)."""
+    if not width:
+        return []
+    mask = (1 << width) - 1
+    # zero-padded MSB-first bit strings; zip reads them one position at a time
+    bits = [format(r & mask, f"0{width}b") for r in rows]
+    if not bits:
+        return [0] * width
+    return [int("".join(reversed(col)), 2) for col in zip(*bits)][::-1]
 
 
 def values_to_columns(values: Sequence[int], nbits: int) -> list[int]:
     """Transpose per-sample integers into ``nbits`` per-bit columns."""
-    packed = _transpose_bits(_rows(values, (nbits + 7) // 8), nbits)
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return _transpose(values, nbits)
 
 
 def columns_to_values(cols: Sequence[int], nsamples: int) -> list[int]:
     """Inverse of :func:`values_to_columns`."""
-    packed = _transpose_bits(_rows(cols, (nsamples + 7) // 8), nsamples)
-    nwords = (len(cols) + 63) // 64
-    words = np.zeros((nsamples, 8 * nwords), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    words = words.view("<u8")
-    values = [0] * nsamples
-    for k in range(nwords):
-        values = [v | (w << (64 * k))
-                  for v, w in zip(values, words[:, k].tolist())]
-    return values
+    return _transpose(cols, nsamples)
 
 
 def _sample(cols: Sequence[int], s: int) -> int:
@@ -341,24 +325,18 @@ def exhaustive_check(variant_id: str, n: int, *,
 
 def random_check(variant_id: str, n: int, samples: int = 1000,
                  seed: int = 20260826) -> Counterexample | None:
-    """Check a batch of uniformly random operands in one column run."""
-    rng = np.random.default_rng(seed)
-    nbytes = (n + 7) // 8
-    mask = (1 << n) - 1
+    """Check a batch of uniformly random operands in one column run.
 
-    def draw() -> list[int]:
-        raw = rng.integers(0, 256, size=(samples, nbytes), dtype=np.uint8)
-        return [int.from_bytes(raw[i].tobytes(), "little") & mask
-                for i in range(samples)]
-
-    ops = {"a": draw(), "b": draw()}
-    if uses_carry_in(variant_id):
-        ops["y"] = [int(v) for v in rng.integers(0, 2, size=samples)]
+    Uniform operands are independent uniform bits, so each input column is
+    drawn directly, one ``samples``-bit integer per wire.
+    """
+    if samples < 1:
+        raise CircuitError(f"random check needs at least one sample, "
+                           f"got {samples}")
+    rng = random.Random(seed)
     circuit = build_variant(variant_id, n)
     cols = zero_columns(circuit)
-    for op, reg in input_registers(variant_id):
-        off = circuit.layout.offset(reg)
-        width = _width(op, n)
-        cols[off:off + width] = values_to_columns(ops[op], width)
+    for _, reg in input_registers(variant_id):
+        for w in circuit.layout.indices(reg):
+            cols[w] = rng.getrandbits(samples)
     return _check_columns(circuit, variant_id, n, cols, samples)
-

@@ -18,11 +18,10 @@ criterion.
 import secrets
 from itertools import product
 
-import numpy as np
 import pytest
 
 from conftest import GRID, gc_boundary_ok, valid_small_widths
-from qcla import build_variant, exhaustive_check, random_check, resource_report
+from qcla import build_variant, exhaustive_check, random_check
 from qcla.adders import VARIANTS
 from qcla.carry import ceil_log2, floor_log2
 from qcla.formulas import popcount

@@ -112,6 +112,16 @@ def test_stats_parse_error_reports_line(tmp_path, capsys):
     assert code == 3 and "line 2" in err
 
 
+@pytest.mark.parametrize("command", [["stats"], ["sim", "--a", "1", "--b", "2"]],
+                         ids=["stats", "sim"])
+def test_a_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.qc"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+
 def test_round_trip_matches_in_memory_report(tmp_path, capsys):
     for vid, n in [("add-oop", 10), ("add-ip", 16), ("mersenne-ip-ones", 9),
                    ("carry-network", 12)]:

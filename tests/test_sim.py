@@ -21,7 +21,7 @@ from qcla import (
     run_operands,
 )
 from qcla.core import GateKind, ccx, cnot, not_
-from qcla.sim import stride_column
+from qcla.sim import columns_to_values, stride_column, values_to_columns
 
 from helpers import STATUSES, compose, permutation_check, run_state, status_of
 
@@ -144,13 +144,17 @@ def test_counterexample_is_the_lowest_failing_sample():
             cex.actual) == (1, 0, 0, "Z", 1, 0)
 
 
+def without_first_toffoli(circuit: Circuit) -> Circuit:
+    drop = next(i for i, g in enumerate(circuit.gates)
+                if g.kind is GateKind.TOFFOLI)
+    return Circuit(circuit.layout,
+                   circuit.gates[:drop] + circuit.gates[drop + 1:])
+
+
 @pytest.mark.parametrize("vid,n", [("add-ip", 64), ("mersenne-ip-zeros", 40),
                                    ("compare-ic", 30)])
 def test_random_check_reports_a_true_counterexample(monkeypatch, vid, n):
-    good = build_variant(vid, n)
-    drop = next(i for i, g in enumerate(good.gates)
-                if g.kind is GateKind.TOFFOLI)
-    broken = Circuit(good.layout, good.gates[:drop] + good.gates[drop + 1:])
+    broken = without_first_toffoli(build_variant(vid, n))
     monkeypatch.setattr(qcla.sim, "build_variant", lambda v, m: broken)
     cex = random_check(vid, n)
     assert cex is not None
@@ -158,6 +162,45 @@ def test_random_check_reports_a_true_counterexample(monkeypatch, vid, n):
                                           cex.y).get(cex.register, 0)
     actual = run_operands(broken, vid, cex.a, cex.b, cex.y)[cex.register]
     assert cex.actual == actual != cex.expected
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_random_check_needs_a_sample(samples):
+    with pytest.raises(CircuitError):
+        random_check("add-oop", 4, samples=samples)
+
+
+def test_random_check_is_a_function_of_its_seed(monkeypatch):
+    broken = without_first_toffoli(build_variant("add-oop", 32))
+    monkeypatch.setattr(qcla.sim, "build_variant", lambda v, m: broken)
+    first = random_check("add-oop", 32, samples=300, seed=7)
+    assert first is not None
+    assert random_check("add-oop", 32, samples=300, seed=7) == first
+
+
+def test_random_check_seeds_draw_different_true_counterexamples(monkeypatch):
+    vid, n = "add-ip-ic", 48
+    broken = without_first_toffoli(build_variant(vid, n))
+    monkeypatch.setattr(qcla.sim, "build_variant", lambda v, m: broken)
+    found = [random_check(vid, n, samples=500, seed=seed) for seed in (1, 2)]
+    for cex in found:
+        assert cex is not None
+        assert cex.expected == expected_state(vid, n, cex.a, cex.b,
+                                              cex.y)[cex.register]
+        actual = run_operands(broken, vid, cex.a, cex.b, cex.y)[cex.register]
+        assert cex.actual == actual != cex.expected
+    assert (found[0].a, found[0].b) != (found[1].a, found[1].b)
+
+
+@given(st.integers(0, 80).flatmap(
+    lambda k: st.tuples(st.just(k),
+                        st.lists(st.integers(0, (1 << k) - 1), max_size=70))))
+@settings(max_examples=200, deadline=None)
+def test_columns_round_trip(case):
+    k, values = case
+    cols = values_to_columns(values, k)
+    assert len(cols) == k
+    assert columns_to_values(cols, len(values)) == values
 
 
 @pytest.mark.parametrize("total", [1 << k for k in range(13)])

@@ -1,11 +1,14 @@
 """The package surface: every public name has a caller, every name the
-benchmark binds resolves, and no module imports a name it does not use."""
+benchmark binds resolves, no module or test file imports a name it does not
+use, and qcla needs nothing outside the standard library."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from qcla.adders import request_for
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qcla"
 BENCH = ROOT / "bench"
+TESTS = ROOT / "tests"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -85,7 +89,9 @@ def test_every_name_the_benchmark_binds_resolves():
             request.zero_rep) == ("add-mersenne", True, False, "zeros")
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path",
+                         sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_does_not_use(path):
     tree = _tree(path)
     imported = {}
@@ -101,3 +107,12 @@ def test_no_module_imports_a_name_it_does_not_use(path):
     used |= _dunder_all(tree)  # a re-export is a use
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}
+
+
+def test_qcla_imports_without_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = "import sys, qcla, qcla.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+    assert "numpy" not in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
