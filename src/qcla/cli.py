@@ -14,7 +14,8 @@ import json
 import re
 import sys
 
-from .adders import VARIANTS, AdderRequest, build, build_variant
+from .adders import VARIANTS, AdderRequest, build, build_variant, request_for
+from .carry import check_network_width
 from .core import Circuit, CircuitError, resource_report
 from .formulas import verify_family
 from .sim import (
@@ -129,6 +130,11 @@ def cmd_sim(args: argparse.Namespace) -> int:
         print(f"error: unknown variant {vid!r}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        # a stamp names a circuit only at a width the variant is built at
+        if vid == "carry-network":
+            check_network_width(n)
+        else:
+            request_for(vid, n)
         check_inputs(circuit, vid, n)
     except CircuitError as exc:
         print(f"error: {exc}", file=sys.stderr)

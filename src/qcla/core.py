@@ -205,7 +205,9 @@ class Circuit:
         self.layout = layout
         self.gates = tuple(gates)
         self.barriers = tuple(barriers)
-        _check_gates(self.gates, layout.total_size)
+        # one more than the highest wire a gate touches: per-wire tables
+        # need no more, however many bits the layout declares
+        self._span = _check_gates(self.gates, layout.total_size)
         last = -1
         for b in self.barriers:
             if not 0 <= b.position <= len(self.gates):
@@ -227,7 +229,9 @@ _CONTROLS = itemgetter(1)
 _TARGET = itemgetter(2)
 
 
-def _check_gates(gates: Sequence[Gate], width: int) -> None:
+def _check_gates(gates: Sequence[Gate], width: int) -> int:
+    """Raise :class:`CircuitError` on a malformed gate; return one more than
+    the highest wire the gates touch (0 for no gates)."""
     for kind, controls, target, _ in gates:
         if len(controls) != _NUM_CONTROLS.get(kind, -1):
             raise CircuitError(f"{kind} gate with controls {controls!r}")
@@ -240,6 +244,7 @@ def _check_gates(gates: Sequence[Gate], width: int) -> None:
     for w in wires:
         if type(w) is not int or not 0 <= w < width:
             raise CircuitError(f"wire {w!r} is not a flat index below {width}")
+    return max(wires, default=-1) + 1
 
 
 def _width(gates: Sequence[Gate]) -> int:
@@ -262,7 +267,7 @@ def schedule_asap(circuit: Circuit) -> list[list[int]]:
     """
     gates = circuit.gates
     # wire -> the first gate of the last slice that used it
-    stamp = [-1] * circuit.layout.total_size
+    stamp = [-1] * circuit._span
     starts: list[int] = []  # index of the first gate of every slice but one
     open_ = 0  # index of the first gate of the open slice
     for i, (_, controls, target, _) in enumerate(gates):

@@ -7,6 +7,11 @@ layout order as ``reg <name> <size> <role>``; gate lines are
 <label>`` lines mark phase boundaries.  ``#`` starts a comment.
 Parsing is strict: unknown tokens are errors, reported with the line
 number.
+
+Parsing resolves each distinct gate line and each distinct wire token
+once, so equal gate lines share one immutable :class:`Gate`.  The adders
+uncompute what they compute and repeat many of their lines, and parse
+cost follows the distinct lines.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from .core import (
     Register,
     RegisterLayout,
     Role,
+    ccx,
+    cnot,
+    not_,
 )
 
 __all__ = ["ParseError", "emit_native", "parse_native", "emit_qasm"]
@@ -52,7 +60,8 @@ class _WireTokens(dict):
         return token
 
 
-_OPS = {k: k.value for k in GateKind}
+_LINE = {GateKind.NOT: "not %s", GateKind.CNOT: "cnot %s %s",
+         GateKind.TOFFOLI: "ccx %s %s %s"}  # controls first, then the target
 
 
 def emit_native(circuit: Circuit, header_comments: list[str] | None = None) -> str:
@@ -64,7 +73,7 @@ def emit_native(circuit: Circuit, header_comments: list[str] | None = None) -> s
 
     def gate_line(gate: Gate) -> str:
         kind, controls, target, _ = gate
-        return f"{_OPS[kind]} {' '.join(map(token, (*controls, target)))}"
+        return _LINE[kind] % (*map(token, controls), token(target))
 
     gates = circuit.gates
     start = 0
@@ -76,8 +85,47 @@ def emit_native(circuit: Circuit, header_comments: list[str] | None = None) -> s
     return "\n".join(lines) + "\n"
 
 
-_KINDS = {k.value: k for k in GateKind}
 _ROLES = {r.value: r for r in Role}
+
+
+class _BadWire(Exception):
+    """A wire token that names no declared wire; the parser adds the line."""
+
+
+class _WireIndex(dict):
+    """Wire token -> its flat index, each token checked on first use.
+
+    It holds only the tokens a file uses, so a large declared register
+    costs nothing.  The registers are fixed by the first lookup, since
+    every register header precedes the first gate.
+    """
+
+    def __init__(self, sizes: dict[str, int], offsets: dict[str, int]):
+        super().__init__()
+        self.sizes = sizes
+        self.offsets = offsets  # register -> flat index of its bit 0
+
+    def __missing__(self, token: str) -> int:
+        m = _WIRE_RE.match(token)
+        if not m:
+            raise _BadWire(f"malformed wire reference {token!r}")
+        name, index = m.group(1), int(m.group(2))
+        if name not in self.sizes:
+            raise _BadWire(f"undeclared register {name!r}")
+        if index >= self.sizes[name]:
+            raise _BadWire(f"wire {token} out of range")
+        w = self[token] = self.offsets[name] + index
+        return w
+
+
+def _arity_error(lineno: int, tokens: list[str], want: int) -> ParseError:
+    return ParseError(lineno,
+                      f"{tokens[0]} needs {want} wires, got {len(tokens) - 1}")
+
+
+def _distinct_error(lineno: int, tokens: list[str]) -> ParseError:
+    return ParseError(lineno,
+                      f"gate wires must be distinct: {' '.join(tokens[1:])}")
 
 
 def parse_native(text: str) -> Circuit:
@@ -89,69 +137,74 @@ def parse_native(text: str) -> Circuit:
     """
     registers: list[Register] = []
     sizes: dict[str, int] = {}
-    offsets: dict[str, int] = {}  # register -> flat index of its bit 0
+    offsets: dict[str, int] = {}
     total = 0
     gates: list[Gate] = []
     barriers: list[Barrier] = []
     reg_lineno = 0  # line of the last register header
-    # token -> its flat wire index, checked once: the registers are fixed
-    # by then, since every register header precedes the first gate
-    wires: dict[str, int] = {}
-
-    def wire(token: str, lineno: int) -> int:
-        m = _WIRE_RE.match(token)
-        if not m:
-            raise ParseError(lineno, f"malformed wire reference {token!r}")
-        name, index = m.group(1), int(m.group(2))
-        if name not in sizes:
-            raise ParseError(lineno, f"undeclared register {name!r}")
-        if index >= sizes[name]:
-            raise ParseError(lineno, f"wire {token} out of range")
-        w = wires[token] = offsets[name] + index
-        return w
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        op, args = tokens[0], tokens[1:]
-        kind = _KINDS.get(op)
-        if kind is not None:
-            if len(args) != kind.num_controls + 1:
-                raise ParseError(
-                    lineno,
-                    f"{op} needs {kind.num_controls + 1} wires, got {len(args)}")
-            ws = [wires[t] if t in wires else wire(t, lineno) for t in args]
-            if len(set(ws)) != len(ws):
-                raise ParseError(lineno, f"gate wires must be distinct: "
-                                         f"{' '.join(args)}")
-            gates.append(Gate(kind, ws[:-1], ws[-1]))
-        elif op == "reg":
-            if gates:
-                raise ParseError(lineno, "reg line after first gate")
-            if len(args) != 3:
-                raise ParseError(lineno, "reg needs: name size role")
-            name, size_s, role_s = args
-            if not _NAME_RE.match(name):
-                raise ParseError(lineno, f"bad register name {name!r}")
-            if name in sizes:
-                raise ParseError(lineno, f"duplicate register {name!r}")
-            if not (size_s.isascii() and size_s.isdigit()):
-                raise ParseError(lineno, f"bad register size {size_s!r}")
-            if role_s not in _ROLES:
-                raise ParseError(lineno, f"unknown role {role_s!r}")
-            sizes[name] = int(size_s)
-            offsets[name] = total
-            total += sizes[name]
-            registers.append(Register(name, sizes[name], _ROLES[role_s]))
-            reg_lineno = lineno
-        elif op == "barrier":
-            if len(args) != 1:
-                raise ParseError(lineno, "barrier needs exactly one label")
-            barriers.append(Barrier(len(gates), args[0]))
-        else:
-            raise ParseError(lineno, f"unknown directive {op!r}")
+    wires = _WireIndex(sizes, offsets)
+    # raw gate line -> its gate; a repeat is a valid line whose wires were
+    # resolved against the same, by then fixed, registers
+    parsed: dict[str, Gate] = {}
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            gate = parsed.get(raw)
+            if gate is not None:
+                gates.append(gate)
+                continue
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            op = tokens[0]
+            if op == "ccx":
+                if len(tokens) != 4:
+                    raise _arity_error(lineno, tokens, 3)
+                c1, c2, t = wires[tokens[1]], wires[tokens[2]], wires[tokens[3]]
+                if c1 == c2 or c1 == t or c2 == t:
+                    raise _distinct_error(lineno, tokens)
+                gate = parsed[raw] = ccx(c1, c2, t)
+                gates.append(gate)
+            elif op == "cnot":
+                if len(tokens) != 3:
+                    raise _arity_error(lineno, tokens, 2)
+                c, t = wires[tokens[1]], wires[tokens[2]]
+                if c == t:
+                    raise _distinct_error(lineno, tokens)
+                gate = parsed[raw] = cnot(c, t)
+                gates.append(gate)
+            elif op == "not":
+                if len(tokens) != 2:
+                    raise _arity_error(lineno, tokens, 1)
+                gate = parsed[raw] = not_(wires[tokens[1]])
+                gates.append(gate)
+            elif op == "reg":
+                if gates:
+                    raise ParseError(lineno, "reg line after first gate")
+                if len(tokens) != 4:
+                    raise ParseError(lineno, "reg needs: name size role")
+                _, name, size_s, role_s = tokens
+                if not _NAME_RE.match(name):
+                    raise ParseError(lineno, f"bad register name {name!r}")
+                if name in sizes:
+                    raise ParseError(lineno, f"duplicate register {name!r}")
+                if not (size_s.isascii() and size_s.isdigit()):
+                    raise ParseError(lineno, f"bad register size {size_s!r}")
+                if role_s not in _ROLES:
+                    raise ParseError(lineno, f"unknown role {role_s!r}")
+                sizes[name] = int(size_s)
+                offsets[name] = total
+                total += sizes[name]
+                registers.append(Register(name, sizes[name], _ROLES[role_s]))
+                reg_lineno = lineno
+            elif op == "barrier":
+                if len(tokens) != 2:
+                    raise ParseError(lineno, "barrier needs exactly one label")
+                barriers.append(Barrier(len(gates), tokens[1]))
+            else:
+                raise ParseError(lineno, f"unknown directive {op!r}")
+    except _BadWire as exc:
+        raise ParseError(lineno, str(exc)) from None
     try:
         layout = RegisterLayout(registers)
     except CircuitError as exc:  # reported at the header's last line

@@ -4,10 +4,13 @@ No generator, simulator path or command of qcla needs these; the tests use
 them to check properties of the circuits qcla builds: reversibility, that
 they permute the basis, the comparator's agreement with its constant-
 propagated padded form, and the carry-status algebra the trees rest on.
+``reference_parse_native`` is the plain line-by-line parser that
+``qcla.textfmt.parse_native`` must agree with, error for error.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Mapping
 
 from qcla.core import (
@@ -17,9 +20,13 @@ from qcla.core import (
     Gate,
     GateKind,
     InternalConsistencyError,
+    Register,
+    RegisterLayout,
+    Role,
 )
 from qcla.formulas import popcount
 from qcla.sim import columns_to_values, run_columns, stride_column, zero_columns
+from qcla.textfmt import ParseError
 
 # ---------------------------------------------------------------------------
 # Carry-status algebra
@@ -139,3 +146,87 @@ def constant_propagate(circuit: Circuit,
         Barrier(old_to_new[b.position], b.label) for b in circuit.barriers
     )
     return Circuit(circuit.layout, out, barriers)
+
+
+# ---------------------------------------------------------------------------
+# The native text format, parsed one line at a time
+
+_WIRE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\]$")
+_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_KINDS = {k.value: k for k in GateKind}
+_ROLES = {r.value: r for r in Role}
+
+
+def reference_parse_native(text: str) -> Circuit:
+    """``parse_native`` as a plain loop: every line is split, checked and
+    built on its own, with the same errors in the same order."""
+    registers: list[Register] = []
+    sizes: dict[str, int] = {}
+    offsets: dict[str, int] = {}  # register -> flat index of its bit 0
+    total = 0
+    gates: list[Gate] = []
+    barriers: list[Barrier] = []
+    reg_lineno = 0  # line of the last register header
+    # token -> its flat wire index, checked once: the registers are fixed
+    # by then, since every register header precedes the first gate
+    wires: dict[str, int] = {}
+
+    def wire(token: str, lineno: int) -> int:
+        m = _WIRE_RE.match(token)
+        if not m:
+            raise ParseError(lineno, f"malformed wire reference {token!r}")
+        name, index = m.group(1), int(m.group(2))
+        if name not in sizes:
+            raise ParseError(lineno, f"undeclared register {name!r}")
+        if index >= sizes[name]:
+            raise ParseError(lineno, f"wire {token} out of range")
+        w = wires[token] = offsets[name] + index
+        return w
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        op, args = tokens[0], tokens[1:]
+        kind = _KINDS.get(op)
+        if kind is not None:
+            if len(args) != kind.num_controls + 1:
+                raise ParseError(
+                    lineno,
+                    f"{op} needs {kind.num_controls + 1} wires, got {len(args)}")
+            ws = [wires[t] if t in wires else wire(t, lineno) for t in args]
+            if len(set(ws)) != len(ws):
+                raise ParseError(lineno, f"gate wires must be distinct: "
+                                         f"{' '.join(args)}")
+            gates.append(Gate(kind, ws[:-1], ws[-1]))
+        elif op == "reg":
+            if gates:
+                raise ParseError(lineno, "reg line after first gate")
+            if len(args) != 3:
+                raise ParseError(lineno, "reg needs: name size role")
+            name, size_s, role_s = args
+            if not _NAME_RE.match(name):
+                raise ParseError(lineno, f"bad register name {name!r}")
+            if name in sizes:
+                raise ParseError(lineno, f"duplicate register {name!r}")
+            if not (size_s.isascii() and size_s.isdigit()):
+                raise ParseError(lineno, f"bad register size {size_s!r}")
+            if role_s not in _ROLES:
+                raise ParseError(lineno, f"unknown role {role_s!r}")
+            sizes[name] = int(size_s)
+            offsets[name] = total
+            total += sizes[name]
+            registers.append(Register(name, sizes[name], _ROLES[role_s]))
+            reg_lineno = lineno
+        elif op == "barrier":
+            if len(args) != 1:
+                raise ParseError(lineno, "barrier needs exactly one label")
+            barriers.append(Barrier(len(gates), args[0]))
+        else:
+            raise ParseError(lineno, f"unknown directive {op!r}")
+    try:
+        layout = RegisterLayout(registers)
+    except CircuitError as exc:  # reported at the header's last line
+        raise ParseError(reg_lineno, str(exc)) from None
+    return Circuit(layout, gates, barriers)

@@ -157,7 +157,7 @@ def test_each_build_checks_its_gates_once(vid, monkeypatch):
     check = qcla.core._check_gates
     monkeypatch.setattr(qcla.core, "_check_gates",
                         lambda gates, width: (checked.append(len(gates)),
-                                              check(gates, width)))
+                                              check(gates, width))[1])
     circuit = build_variant(vid, 9)
     assert checked == [len(circuit.gates)]
 

@@ -360,6 +360,21 @@ def test_sim_rejects_a_width_stamp_the_registers_disagree_with(
     assert err.startswith(f"error: add-oop n={stamp} reads A[{stamp}]")
 
 
+@pytest.mark.parametrize("vid,n,message", [
+    ("add-oop", 0, "add requires n >= 1, got 0"),  # once passed 1 input
+    ("compare", 1, "compare requires n >= 2, got 1"),
+    ("carry-network", 0, "carry network needs n >= 1, got 0"),
+])
+@pytest.mark.parametrize("mode", [["--a", "0", "--b", "0"], ["--exhaustive"]])
+def test_sim_rejects_a_width_stamp_with_no_circuit(tmp_path, capsys, vid, n,
+                                                   message, mode):
+    path = tmp_path / "narrow.qc"
+    path.write_text(f"# variant={vid} n={n}\nreg A {n} input-a\n"
+                    f"reg B {n} input-b\nreg Z 1 output\n")
+    code, out, err = run(capsys, "sim", str(path), *mode)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_sim_rejects_an_empty_carry_in(tmp_path, capsys):
     path = tmp_path / "y0.qc"
     path.write_text("# variant=add-oop-ic n=1\nreg A 1 input-a\n"

@@ -1,5 +1,7 @@
 """Circuit IR, scheduling, inversion, constant propagation, lightcone."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from qcla import (
     RegisterLayout,
     Role,
     build_variant,
+    parse_native,
     resource_report,
     schedule_asap,
 )
@@ -103,6 +106,20 @@ def test_disjoint_cnots_share_a_slice():
 def test_wire_sharing_gates_stay_ordered():
     c = Circuit(small_layout(), [cnot(0, 1), cnot(0, 2)])
     assert schedule_asap(c) == [[0], [1]]
+
+
+def test_report_memory_follows_the_gates_not_the_declared_bits():
+    # the scheduler once kept one stamp per declared bit: 80 MB here
+    text = ("reg A 2 input-a\nreg B 2 input-b\nreg X 10000000 ancilla\n"
+            "cnot A[0] B[1]\n")
+    tracemalloc.start()
+    try:
+        report = resource_report(parse_native(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.width == 10_000_004 and report.total_slices == 1
+    assert peak < 1 << 20
 
 
 @given(random_gates())

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import valid_small_widths
+from helpers import reference_parse_native
 from qcla import (
     ParseError,
     build_variant,
@@ -123,17 +124,81 @@ def test_emit_parse_is_a_fixed_point(pair):
     assert emit_native(parse_native(text)) == text
 
 
+def mutated(data, text: str) -> str:
+    """``text`` after one to three random edits: a piece spliced over a
+    short span, or a whole line copied elsewhere (so that repeated lines,
+    and register lines after gates, turn up)."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(text)))
+            j = data.draw(st.integers(i, min(len(text), i + 12)))
+            piece = data.draw(st.one_of(st.sampled_from(TOKENS),
+                                        st.text(max_size=4)))
+            text = text[:i] + piece + text[j:]
+        else:
+            lines = text.splitlines(keepends=True) or [""]
+            line = lines[data.draw(st.integers(0, len(lines) - 1))]
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
+            text = "".join(lines)
+    return text
+
+
 @given(st.sampled_from(SMALL), st.data())
 @settings(max_examples=100, deadline=None)
 def test_parse_raises_only_parse_error_on_mutated_text(pair, data):
-    text = small_text(*pair)
-    for _ in range(data.draw(st.integers(1, 3))):
-        i = data.draw(st.integers(0, len(text)))
-        j = data.draw(st.integers(i, min(len(text), i + 12)))
-        piece = data.draw(st.one_of(st.sampled_from(TOKENS),
-                                    st.text(max_size=4)))
-        text = text[:i] + piece + text[j:]
+    text = mutated(data, small_text(*pair))
     try:
         parse_native(text)
     except ParseError:
         pass
+
+
+def outcome(parse, text: str) -> tuple:
+    """What ``parse`` makes of ``text``: the circuit's parts, or the
+    error's message and line."""
+    try:
+        c = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.lineno)
+    return ("circuit", c.gates, c.layout, c.barriers)
+
+
+@given(st.sampled_from(SMALL), st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_agrees_with_the_reference_on_mutated_text(pair, data):
+    text = mutated(data, small_text(*pair))
+    assert outcome(parse_native, text) == \
+        outcome(reference_parse_native, text)
+
+
+REPEATS = "reg A 2 input-a\nreg B 2 input-b\ncnot A[0] B[1]\n"
+
+
+@pytest.mark.parametrize("text,lineno,fragment", [
+    # a bad line fails where it first appears, not where it repeats
+    (REPEATS + "not A[7]\ncnot A[0] B[1]\nnot A[7]\n", 4, "out of range"),
+    (REPEATS + "ccx A[0] B[1] A[0]\nccx A[0] B[1] A[0]\n", 4,
+     "must be distinct"),
+    (REPEATS + "ccx B[1] B[1] A[0]\nccx B[1] B[1] A[0]\n", 4,
+     "must be distinct"),
+    (REPEATS + "cnot A[0] B[1]\nreg C 2 output\n", 5, "after first gate"),
+])
+def test_repeated_lines_fail_like_the_first(text, lineno, fragment):
+    for parse in (parse_native, reference_parse_native):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.lineno == lineno and fragment in str(exc.value)
+
+
+def test_equal_gate_lines_share_one_gate():
+    text = REPEATS + "cnot A[0] B[1]  # the same gate\nnot A[1]\n" + \
+        "cnot A[0] B[1]\n"
+    gates = parse_native(text).gates
+    assert gates == reference_parse_native(text).gates
+    assert gates[0] == gates[1] and gates[0] is gates[3]
+
+
+@pytest.mark.parametrize("vid", ["add-ip", "mersenne-ip-zeros", "compare"])
+def test_emit_parse_is_a_fixed_point_at_width_1024(vid):
+    text = emit_native(build_variant(vid, 1024))
+    assert emit_native(parse_native(text)) == text
