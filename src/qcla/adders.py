@@ -11,7 +11,9 @@ register order ``A, B, Z, X, Y``:
 Variants: plain and in-place addition, addition mod ``2^n``, addition mod
 ``2^n - 1`` (end-around carry, in both representations of zero),
 subtraction, and comparison -- each with or without an incoming carry where
-that combination is defined.
+that combination is defined.  The all-zeros representation costs one more
+Toffoli, which folds the full-width propagate into the wrapped carry at a
+G-round boundary given in closed form by ``n`` (see ``_mersenne_rounds``).
 
 Three shared pieces build the adders:
 
@@ -421,65 +423,25 @@ def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: int,
     c_fw = rounds.c_gates()
     p_bw = retag(reversed(p_fw), "Pinv")
     if zero_rep == "zeros":
-        # fold the full-width propagate into the wrapped carry before the
-        # C-rounds read it; the fold commutes with the G-round writes of
-        # that wire, so it may go at any G-round boundary, and the first
-        # boundary where the circuit comes out shallowest is taken
-        p0, p1 = rounds.full_prefix_propagate()
-        ends = [0, *rounds.g_round_ends]
-        e = ends[_shallowest_cut(p_fw + g_fw + c_fw + p_bw,
-                                 [len(p_fw) + e for e in ends],
-                                 (p0, p1, wrap_wire))]
-        g_fw = g_fw[:e] + [ccx(p0, p1, wrap_wire, "C")] + g_fw[e:]
+        # Fold p[0, N) into the wrapped carry w before the C-rounds read
+        # it.  The fold commutes with the G-round writes of w, so it may go
+        # at any G-round boundary e, where the rounds are max(D, f(e) + 1 +
+        # b(e)) deep: f(e) and b(e) are the longest gate chains ending on
+        # its wires before e and starting from them after e.  G-round t
+        # writes w iff bit t - 1 of n - 1 is set (round k always does), at
+        # level t + 1.  For n > 2: D = 2k + 2, f(e) = max(k - 1, t + 1)
+        # for the last such t <= e (k - 1 is the level of p[0, N/2)), and
+        # b(e) = k + 1 + s(e) for the s(e) such rounds after e.  Depth D
+        # needs s(e) = 1, out of reach when round k - 1 writes w; depth
+        # D + 1 then needs s(e) = 2.  Either way the first shallowest e is
+        # the last writing round among 1..k-2 (0 if none): the bit length
+        # of n - 1 with the top two of its k bits cleared.  A search over
+        # every boundary agrees for n = 2..4200; tests/test_adders.py
+        # checks the widths the tests and the benchmark build.
+        e = [0, *rounds.g_round_ends][
+            ((rounds.n - 1) % max(rounds.N >> 2, 1)).bit_length()]
+        g_fw.insert(e, ccx(*rounds.full_prefix_propagate(), wrap_wire, "C"))
     return levelize(p_fw + g_fw + c_fw + p_bw)
-
-
-def _shallowest_cut(gates: list[Gate], cuts: list[int],
-                    wires: tuple[int, ...]) -> int:
-    """Index of the first of ``cuts`` (ascending gate positions) where one
-    more gate on ``wires`` gives the least-deep dependency DAG.
-
-    Inserting a gate adds no dependency except through itself, so the
-    depth with it at cut ``c`` is ``max(D, f(c) + 1 + b(c))``: ``D`` is
-    the depth without it, ``f(c)`` the longest chain ending on ``wires``
-    before ``c`` and ``b(c)`` the longest starting on them after ``c``.
-    One forward and one backward level pass give every cut's depth.  For
-    a gate list of Toffolis only, the levelized order's Toffoli slice
-    count is this depth.
-    """
-    fwd, depth = _levels_at(gates, cuts, wires)
-    bwd, _ = _levels_at(gates[::-1], [len(gates) - c for c in reversed(cuts)],
-                        wires)
-    costs = [max(depth, f + 1 + b) for f, b in zip(fwd, reversed(bwd))]
-    return costs.index(min(costs))
-
-
-def _levels_at(gates: list[Gate], cuts: list[int],
-               wires: tuple[int, ...]) -> tuple[list[int], int]:
-    """The highest dependency level on ``wires`` after the first ``c``
-    gates, for each of ``cuts`` (ascending), and the depth of all of
-    ``gates``; a wire's level is the length of the longest chain of gates
-    ending on it."""
-    level: dict[int, int] = {}
-    get = level.get
-    at: list[int] = []
-    cuts = iter([*cuts, -1])
-    cut = next(cuts)
-    for i, (_, controls, target, _) in enumerate(gates):
-        while cut == i:
-            at.append(max(get(w, 0) for w in wires))
-            cut = next(cuts)
-        lv = get(target, 0)
-        for c in controls:
-            lv = max(lv, get(c, 0))
-        lv += 1
-        level[target] = lv
-        for c in controls:
-            level[c] = lv
-    while cut != -1:  # cuts at the end of the list
-        at.append(max(get(w, 0) for w in wires))
-        cut = next(cuts)
-    return at, max(level.values(), default=0)
 
 
 def _gen_mersenne_ip(n: int, zero_rep: str) -> Circuit:
@@ -523,23 +485,20 @@ _VARIANT_FIELDS: dict[str, tuple[str, bool, bool, str | None]] = {
     "mersenne-ip-zeros": ("add-mersenne", True, False, "zeros"),
 }
 
-_ALIASES = {"add": "add-oop"}
-
 VARIANTS = ("carry-network",) + tuple(_VARIANT_FIELDS)
 
 
 def request_for(variant_id: str, n: int) -> AdderRequest:
     """The request corresponding to a variant id (not ``carry-network``)."""
-    vid = _ALIASES.get(variant_id, variant_id)
-    if vid not in _VARIANT_FIELDS:
+    if variant_id not in _VARIANT_FIELDS:
         raise CircuitError(f"unknown variant {variant_id!r}")
-    function, in_place, ic, zero_rep = _VARIANT_FIELDS[vid]
+    function, in_place, ic, zero_rep = _VARIANT_FIELDS[variant_id]
     return AdderRequest(n, function, in_place, ic, zero_rep)
 
 
 def build_variant(variant_id: str, n: int) -> Circuit:
     """Build any variant, including the bare carry network."""
-    if _ALIASES.get(variant_id, variant_id) == "carry-network":
+    if variant_id == "carry-network":
         return build_carry_network(n)
     return build(request_for(variant_id, n))
 

@@ -229,8 +229,11 @@ def run_operands(circuit: Circuit, variant_id: str, a: int, b: int,
         for i, w in enumerate(layout.indices(reg)):
             cols[w] = (ops[op] >> i) & 1
     run_columns(circuit, cols, 1)
-    return {r.name: _sample([cols[w] for w in layout.indices(r.name)], 0)
-            for r in layout.registers}
+    out = {}
+    for r in layout.registers:
+        off = layout.offset(r.name)
+        out[r.name] = _sample(cols[off:off + r.size], 0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -305,7 +308,7 @@ def exhaustive_check(variant_id: str, n: int, *,
     small widths.
     """
     if n > 12:
-        raise CircuitError("exhaustive check limited to n <= 12")
+        raise CircuitError(f"exhaustive check limited to n <= 12, got n={n}")
     if circuit is None:
         circuit = build_variant(variant_id, n)
     check_inputs(circuit, variant_id, n)

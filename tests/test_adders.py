@@ -187,7 +187,8 @@ def fold_by_search(rounds: PaddedRounds, wrap_wire: int) -> list:
     return min(orders, key=toffoli_slices)
 
 
-@pytest.mark.parametrize("n", [*range(2, 131), 255, 256, 257, 1024])
+@pytest.mark.parametrize("n", [*range(2, 131), 255, 256, 257, 511, 512,
+                               513, 1024, 2047, 2048, 4096])
 def test_one_pass_fold_matches_the_candidate_search(n):
     # propagate bits on 0..n-1, carries on n..2n-1 (position n wraps to
     # position 0), interval slots from 2n

@@ -326,6 +326,30 @@ def test_sim_exhaustive_fails_a_file_without_its_output(tmp_path, capsys):
     assert out == "FAIL: add-oop n=2: a=0 b=1: register Z = 0, expected 1\n"
 
 
+def test_sim_requires_a_register_the_oracle_does_not_name_to_end_at_0(
+        tmp_path, capsys):
+    # the operand check once looked only at the registers the oracle names
+    path = gen_file(tmp_path, capsys, "a2.qc", "--circuit", "add", "--n", "2")
+    lines = path.read_text().splitlines(keepends=True)
+    first_gate = next(i for i, l in enumerate(lines)
+                      if l.strip() and not l.startswith(("#", "reg ")))
+    path.write_text("".join(lines[:first_gate] + ["reg W 1 ancilla\n"]
+                            + lines[first_gate:] + ["not W[0]\n"]))
+    code, out, _ = run(capsys, "sim", str(path), "--a", "1", "--b", "2")
+    assert code == 1 and out == "Z=3 restored=true clean=false\n"
+    code, out, _ = run(capsys, "sim", str(path), "--exhaustive")
+    assert code == 1 and out.endswith("register W = 1, expected 0\n")
+
+
+def test_sim_exhaustive_past_the_width_limit_is_a_usage_error(tmp_path,
+                                                               capsys):
+    path = gen_file(tmp_path, capsys, "a13.qc", "--circuit", "add",
+                    "--n", "13")
+    code, out, err = run(capsys, "sim", str(path), "--exhaustive")
+    assert code == 2 and out == ""
+    assert err == "error: exhaustive check limited to n <= 12, got n=13\n"
+
+
 def test_invalid_layout_in_file_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "two-carry-ins.qc"
     bad.write_text("reg A 1 input-a\nreg Y 1 carry-in\nreg Y2 1 carry-in\n"

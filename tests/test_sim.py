@@ -1,5 +1,6 @@
 """Reversible simulation, oracles, and the carry-status algebra."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -120,6 +121,23 @@ def test_run_operands_examples():
     assert out == {"A": 5, "B": 7, "Z": 12, "X": 0}
     out = run_operands(build_variant("compare", 5), "compare", 17, 17)
     assert out["Z"] == 1
+
+
+def test_run_operands_memory_follows_the_registers_not_their_bits():
+    # each register was once read back through a list of its wire indices:
+    # a 54 MiB peak here
+    base = build_variant("add-oop", 4)
+    wide = Circuit(RegisterLayout([*base.layout.registers,
+                                   Register("W", 1_000_000, Role.ANCILLA)]),
+                   base.gates)
+    tracemalloc.start()
+    try:
+        out = run_operands(wide, "add-oop", 5, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == {**run_operands(base, "add-oop", 5, 7), "W": 0}
+    assert peak < 32 << 20
 
 
 def test_exhaustive_guard():

@@ -10,6 +10,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,11 +28,12 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _referenced(tree: ast.Module) -> set[str]:
-    """Every name a module reads, as a bare name, an attribute or an import."""
+def _referenced(tree: ast.AST) -> set[str]:
+    """Every name a piece of code reads, as a bare name, an attribute or an
+    import (a name it binds is not a read)."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -54,6 +56,33 @@ def test_every_public_name_has_a_caller():
     callers += sorted(BENCH.glob("*.py"))
     referenced = set().union(*(_referenced(_tree(p)) for p in callers))
     assert sorted(set(qcla.__all__) - referenced) == []
+
+
+def _top_level_names(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target])
+        return {n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)}
+    return set()
+
+
+def test_every_private_name_in_src_has_a_reader_in_src():
+    # a private helper kept only for a test is test code in the package
+    stmts = [stmt for path in sorted(SRC.glob("*.py"))
+             for stmt in _tree(path).body]
+    reads = [_referenced(stmt) for stmt in stmts]
+    readers = Counter(name for names in reads for name in names)
+    # a statement that reads a name it binds (a recursive function) is not
+    # its own reader
+    unread = {name for stmt, names in zip(stmts, reads)
+              for name in _top_level_names(stmt)
+              if name.startswith("_") and not name.startswith("__")
+              and readers[name] == (name in names)}
+    assert sorted(unread) == []
 
 
 def _load_bench_spans():
