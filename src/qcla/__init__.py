@@ -11,12 +11,6 @@ from .adders import (
     AdderRequest,
     build,
     build_variant,
-    gen_add_ip,
-    gen_add_mersenne,
-    gen_add_mod2n,
-    gen_add_oop,
-    gen_compare,
-    gen_sub,
     request_for,
 )
 from .carry import build_carry_network
@@ -67,12 +61,6 @@ __all__ = [
     "exhaustive_check",
     "expected_state",
     "formula_eval",
-    "gen_add_ip",
-    "gen_add_mersenne",
-    "gen_add_mod2n",
-    "gen_add_oop",
-    "gen_compare",
-    "gen_sub",
     "parse_native",
     "random_check",
     "request_for",

@@ -28,6 +28,11 @@ Three shared pieces build the adders:
   init, forward tree, sum into ``B``, negate, fix-up + reversed tree,
   fix-up + generate erase, negate.  The second tree runs on ``A`` and the
   complemented sum, so it uncomputes the carries the first one wrote.
+
+One table, ``_VARIANTS``, maps every variant id (the bare carry network of
+``carry.py`` too) to its ``AdderRequest`` fields and its builder from ``n``:
+``build`` is one lookup, and ``build_variant(id, n)`` is
+``build(request_for(id, n))``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
+from typing import Callable
 
 from .carry import (
     PaddedRounds,
@@ -60,13 +66,15 @@ from .core import (
     retag,
 )
 
-FUNCTIONS = ("add", "add-mod2n", "add-mersenne", "subtract", "compare")
+FUNCTIONS = ("add", "add-mod2n", "add-mersenne", "subtract", "compare",
+             "carry-network")
 ZERO_REPS = ("ones", "zeros")
 
 
 @dataclass(frozen=True)
 class AdderRequest:
-    """A validated description of one arithmetic circuit."""
+    """A validated description of one circuit: an adder or the bare carry
+    network."""
 
     n: int
     function: str
@@ -77,6 +85,10 @@ class AdderRequest:
     def __post_init__(self) -> None:
         if self.function not in FUNCTIONS:
             raise CircuitError(f"unknown function {self.function!r}")
+        if self.function == "carry-network" and (
+                self.in_place or self.incoming_carry
+                or self.zero_rep is not None):
+            raise CircuitError("carry-network takes no variant flags")
         min_n = {"compare": 2, "add-mersenne": 2}.get(self.function, 1)
         if self.n < min_n:
             raise CircuitError(
@@ -98,7 +110,7 @@ class AdderRequest:
     def variant_id(self) -> str:
         fields = (self.function, self.in_place, self.incoming_carry,
                   self.zero_rep)
-        return next(vid for vid, f in _VARIANT_FIELDS.items() if f == fields)
+        return next(vid for vid, (f, _) in _VARIANTS.items() if f == fields)
 
 
 def _seal(copies: list[Gate], block: list[Gate]) -> tuple[list[Gate], list[Gate]]:
@@ -148,11 +160,6 @@ def _phase_barriers(gates: list[Gate]) -> list[Barrier]:
     return barriers
 
 
-def _circuit(layout: RegisterLayout, gates: list[Gate]) -> Circuit:
-    """The one ``Circuit`` a build makes: its gates are checked here."""
-    return Circuit(layout, gates, _phase_barriers(gates))
-
-
 def _layout(n: int, z: int, x: int, carry_in: bool) -> RegisterLayout:
     regs = [
         Register("A", n, Role.INPUT_A),
@@ -192,17 +199,24 @@ def _carry_homes(layout: RegisterLayout) -> WireFn:
     return lambda j: homes[j - 1]
 
 
-def _out_of_place(n: int, w: int,
-                  incoming_carry: bool) -> tuple[RegisterLayout, list[Gate]]:
-    """``Z[0..w]`` = the low ``w`` sum bits and the carry into bit ``w``;
-    when ``w < n``, ``Z[w]`` then takes the two operand bits of position
-    ``w`` too, which makes it the sum bit mod ``2^(w+1)``.
+def _out_of_place(n: int, incoming_carry: bool,
+                  mod2n: bool = False) -> tuple[RegisterLayout, list[Gate]]:
+    """``Z = A + B (+ Y)``, mod ``2^n`` if ``mod2n``, with ``A``, ``B`` (and
+    ``Y``) preserved.
+
+    ``Z[0..w]`` = the low ``w`` sum bits and the carry into bit ``w``: for
+    ``w = n``, ``Z[n]`` is the carry-out; mod ``2^n``, ``w = n - 1`` and
+    ``Z[w]`` then takes the two operand bits of position ``w`` too, which
+    makes it the top sum bit.
 
     Generate bits go to ``Z``, propagate bits onto ``B``, the width-``w``
-    tree (``w + 1`` on doubled operands, where the seed CNOT from ``Y``
-    replaces the position-0 Toffoli) turns ``Z`` into carries, and
-    ``B`` is folded in as the sum and restored.
+    tree turns ``Z`` into carries, and ``B`` is folded in as the sum and
+    restored.  With an incoming carry the circuit is the width-``w + 1``
+    adder on the doubled operands ``2a + y`` and ``2b + y`` with the
+    (always zero) low sum bit elided, which trades the position-0 Toffoli
+    for a carry-seed CNOT from ``Y``.
     """
+    w = n - mod2n
     m = w + int(incoming_carry)  # carry-tree width
     layout = _layout(n, w + 1, interval_slot_count(m), incoming_carry)
     A, B, Z, X, Y = _registers(layout)
@@ -256,18 +270,8 @@ def _in_place(layout: RegisterLayout, gw: WireFn, width: int,
 # Addition
 
 
-def gen_add_oop(n: int, incoming_carry: bool = False) -> Circuit:
-    """``Z = A + B (+ Y)`` with ``A``, ``B`` (and ``Y``) preserved.
-
-    ``Z`` has ``n + 1`` wires; the top one is the carry-out.  With an
-    incoming carry the circuit is the width-``n+1`` adder on the doubled
-    operands ``2a + y`` and ``2b + y`` with the (always zero) low sum bit
-    elided, which trades the position-0 Toffoli for a carry-seed CNOT.
-    """
-    return _circuit(*_out_of_place(n, n, incoming_carry))
-
-
-def gen_add_ip(n: int, incoming_carry: bool = False) -> Circuit:
+def _add_ip(n: int,
+            incoming_carry: bool) -> tuple[RegisterLayout, list[Gate]]:
     """``B = (A + B (+ Y)) mod 2^n`` with carry-out in ``Z[0]``.
 
     The carry string is computed with a forward width-``m`` tree and erased
@@ -276,11 +280,6 @@ def gen_add_ip(n: int, incoming_carry: bool = False) -> Circuit:
     the width-``n+1`` form on doubled operands; the position-1 carry wire is
     the carry-in ``Y`` itself (it is only ever read).
     """
-    return _circuit(*_add_ip(n, incoming_carry))
-
-
-def _add_ip(n: int,
-            incoming_carry: bool) -> tuple[RegisterLayout, list[Gate]]:
     lo = int(incoming_carry)
     m = n + lo
     layout = _layout(n, 1, n - 1 + interval_slot_count(m), incoming_carry)
@@ -294,23 +293,10 @@ def _add_ip(n: int,
                              fixes=range(1, m - 1))
 
 
-# ---------------------------------------------------------------------------
-# Addition mod 2^n
-
-
-def gen_add_mod2n(n: int, in_place: bool = False,
-                  incoming_carry: bool = False) -> Circuit:
-    """Addition discarding the carry-out: ``(a + b (+ y)) mod 2^n``."""
-    if in_place:
-        return _gen_mod2n_ip(n, incoming_carry)
-    # the n - 1 low sum bits and Z[n-1] = c_{n-1}, into which a_{n-1} and
-    # b_{n-1} are then folded as the top sum bit
-    return _circuit(*_out_of_place(n, n - 1, incoming_carry))
-
-
-def _gen_mod2n_ip(n: int, incoming_carry: bool) -> Circuit:
-    # In-place form with both carry trees of width n-1 (or width n on the
-    # doubled operands when a carry comes in); no carry-out wire at all.
+def _mod2n_ip(n: int,
+              incoming_carry: bool) -> tuple[RegisterLayout, list[Gate]]:
+    """``B = (A + B (+ Y)) mod 2^n`` with both carry trees of width ``n - 1``
+    (``n`` on doubled operands); no carry-out wire at all."""
     lo = int(incoming_carry)
     m = n - 1 + lo  # width of both carry trees
     layout = _layout(n, 0, n - 1 + interval_slot_count(m), incoming_carry)
@@ -318,37 +304,36 @@ def _gen_mod2n_ip(n: int, incoming_carry: bool) -> Circuit:
     _, bw, _ = _positions(A, B, Y)
     gw = _carry_homes(layout)
     tree = network_gates(m, X[n - 1:].__getitem__, gw, bw)
-    return _circuit(layout, _in_place(layout, gw, m, tree, tree,
-                                      sums=range(1, m + 1),
-                                      erase=range(lo, m), fixes=range(1, m)))
+    return layout, _in_place(layout, gw, m, tree, tree, sums=range(1, m + 1),
+                             erase=range(lo, m), fixes=range(1, m))
 
 
 # ---------------------------------------------------------------------------
 # Subtraction
 
 
-def gen_sub(n: int, in_place: bool = False) -> Circuit:
+def _sub(n: int, in_place: bool) -> tuple[RegisterLayout, list[Gate]]:
     """Two's-complement subtraction via complemented addition.
 
     Out of place: ``Z = 2^n + a - b`` on ``n + 1`` wires (top bit set iff
     ``a >= b``).  In place: ``B = (a - b) mod 2^n`` with ``Z[0] = [a >= b]``.
     """
-    layout, gates = (_add_ip(n, False) if in_place
-                     else _out_of_place(n, n, False))
+    layout, gates = _add_ip(n, False) if in_place else _out_of_place(n, False)
     A, B, Z, _, _ = _registers(layout)
     pre = [not_(a, "negate") for a in A]
     post = [not_(a, "negate") for a in A]
     if in_place:
         post += [not_(b, "negate") for b in B]
     post += [not_(z, "negate") for z in Z]
-    return _circuit(layout, pre + gates + post)
+    return layout, pre + gates + post
 
 
 # ---------------------------------------------------------------------------
 # Comparison
 
 
-def gen_compare(n: int, incoming_carry: bool = False) -> Circuit:
+def _compare(n: int,
+             incoming_carry: bool) -> tuple[RegisterLayout, list[Gate]]:
     """``Z[0] = [a >= b + y]`` with all other registers preserved.
 
     Complements ``A``, runs the carry tree padded to the next power of two
@@ -382,26 +367,22 @@ def gen_compare(n: int, incoming_carry: bool = False) -> Circuit:
     gates += fix + erase
     gates += [not_(a, "negate") for a in A]
     gates += [not_(Z[0], "negate")]
-    return _circuit(layout, gates)
+    return layout, gates
 
 
 # ---------------------------------------------------------------------------
 # Addition mod 2^n - 1 (end-around carry)
 
 
-def gen_add_mersenne(n: int, in_place: bool = False,
-                     zero_rep: str = "ones") -> Circuit:
-    """One's-complement addition: ``a + b mod 2^n - 1``.
+def _mersenne_oop(n: int,
+                  zero_rep: str) -> tuple[RegisterLayout, list[Gate]]:
+    """One's-complement addition: ``Z = a + b mod 2^n - 1``.
 
     ``zero_rep`` selects which bit pattern represents zero on the all-ones /
     all-zeros boundary: with ``"ones"`` the sum of complementary operands is
     the all-ones string, with ``"zeros"`` (one extra Toffoli folding the
     full-width propagate into the wrapped carry) it is the all-zeros string.
     """
-    if zero_rep not in ZERO_REPS:
-        raise CircuitError(f"zero_rep must be one of {ZERO_REPS}")
-    if in_place:
-        return _gen_mersenne_ip(n, zero_rep)
     layout = _layout(n, n, len(padded_cells(n, wrap=True)), False)
     A, B, Z, X, _ = _registers(layout)
     gw = [*Z, Z[0]].__getitem__  # position n wraps onto the low sum bit
@@ -412,7 +393,7 @@ def gen_add_mersenne(n: int, in_place: bool = False,
     gates += _mersenne_rounds(rounds, gw(n), zero_rep)
     gates += [cnot(B[i], Z[i], "sum") for i in range(n)]
     gates += [cnot(A[i], B[i], "fixup") for i in range(n)]
-    return _circuit(layout, gates)
+    return layout, gates
 
 
 def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: int,
@@ -444,11 +425,13 @@ def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: int,
     return levelize(p_fw + g_fw + c_fw + p_bw)
 
 
-def _gen_mersenne_ip(n: int, zero_rep: str) -> Circuit:
-    # Forward end-around addition in the requested representation, then the
-    # carries are erased by inverting the *other* representation's rounds on
-    # A and the complemented sum.  Carry homes are X[0..n-1]; position n
-    # wraps to X[0], which is also c_0, so every position sums and erases.
+def _mersenne_ip(n: int,
+                 zero_rep: str) -> tuple[RegisterLayout, list[Gate]]:
+    """``B = a + b mod 2^n - 1``: the forward rounds in the representation
+    ``zero_rep``, then the *other* representation's rounds inverted on ``A``
+    and the complemented sum erase the carries.  Carry homes are
+    ``X[0..n-1]``; position ``n`` wraps to ``X[0]``, which is also ``c_0``,
+    so every position sums and erases."""
     layout = _layout(n, 0, n + len(padded_cells(n, wrap=True)), False)
     _, B, _, X, _ = _registers(layout)
     gw = [*X[:n], X[0]].__getitem__
@@ -457,63 +440,71 @@ def _gen_mersenne_ip(n: int, zero_rep: str) -> Circuit:
     fwd = _mersenne_rounds(rounds, gw(n), zero_rep)
     back = _mersenne_rounds(rounds, gw(n), other)
     every = range(n)
-    return _circuit(layout, _in_place(layout, gw, n, fwd, back, sums=every,
-                                      erase=every, fixes=every))
+    return layout, _in_place(layout, gw, n, fwd, back, sums=every,
+                             erase=every, fixes=every)
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# The variant table
 
-# variant id -> AdderRequest fields (function, in_place, incoming_carry,
-# zero_rep); "carry-network" is handled separately (it is not an adder).
-_VARIANT_FIELDS: dict[str, tuple[str, bool, bool, str | None]] = {
-    "add-oop": ("add", False, False, None),
-    "add-oop-ic": ("add", False, True, None),
-    "add-ip": ("add", True, False, None),
-    "add-ip-ic": ("add", True, True, None),
-    "add-mod2n-oop": ("add-mod2n", False, False, None),
-    "add-mod2n-oop-ic": ("add-mod2n", False, True, None),
-    "add-mod2n-ip": ("add-mod2n", True, False, None),
-    "add-mod2n-ip-ic": ("add-mod2n", True, True, None),
-    "sub-oop": ("subtract", False, False, None),
-    "sub-ip": ("subtract", True, False, None),
-    "compare": ("compare", False, False, None),
-    "compare-ic": ("compare", False, True, None),
-    "mersenne-oop-ones": ("add-mersenne", False, False, "ones"),
-    "mersenne-oop-zeros": ("add-mersenne", False, False, "zeros"),
-    "mersenne-ip-ones": ("add-mersenne", True, False, "ones"),
-    "mersenne-ip-zeros": ("add-mersenne", True, False, "zeros"),
+
+def _adder(make: Callable[..., tuple[RegisterLayout, list[Gate]]],
+           *args: object) -> Callable[[int], Circuit]:
+    """``n`` -> the circuit of the adder that ``make(n, *args)`` lays out;
+    its gates are checked here, once, with a barrier at each phase change."""
+    def build_adder(n: int) -> Circuit:
+        layout, gates = make(n, *args)
+        return Circuit(layout, gates, _phase_barriers(gates))
+    return build_adder
+
+
+# variant id -> (AdderRequest fields: function, in_place, incoming_carry,
+# zero_rep; the builder of its circuit from n).  The order is VARIANTS'.
+_VARIANTS: dict[str, tuple[tuple[str, bool, bool, str | None],
+                           Callable[[int], Circuit]]] = {
+    "carry-network": (("carry-network", False, False, None),
+                      build_carry_network),
+    "add-oop": (("add", False, False, None), _adder(_out_of_place, False)),
+    "add-oop-ic": (("add", False, True, None), _adder(_out_of_place, True)),
+    "add-ip": (("add", True, False, None), _adder(_add_ip, False)),
+    "add-ip-ic": (("add", True, True, None), _adder(_add_ip, True)),
+    "add-mod2n-oop": (("add-mod2n", False, False, None),
+                      _adder(_out_of_place, False, True)),
+    "add-mod2n-oop-ic": (("add-mod2n", False, True, None),
+                         _adder(_out_of_place, True, True)),
+    "add-mod2n-ip": (("add-mod2n", True, False, None),
+                     _adder(_mod2n_ip, False)),
+    "add-mod2n-ip-ic": (("add-mod2n", True, True, None),
+                        _adder(_mod2n_ip, True)),
+    "sub-oop": (("subtract", False, False, None), _adder(_sub, False)),
+    "sub-ip": (("subtract", True, False, None), _adder(_sub, True)),
+    "compare": (("compare", False, False, None), _adder(_compare, False)),
+    "compare-ic": (("compare", False, True, None), _adder(_compare, True)),
+    "mersenne-oop-ones": (("add-mersenne", False, False, "ones"),
+                          _adder(_mersenne_oop, "ones")),
+    "mersenne-oop-zeros": (("add-mersenne", False, False, "zeros"),
+                           _adder(_mersenne_oop, "zeros")),
+    "mersenne-ip-ones": (("add-mersenne", True, False, "ones"),
+                         _adder(_mersenne_ip, "ones")),
+    "mersenne-ip-zeros": (("add-mersenne", True, False, "zeros"),
+                          _adder(_mersenne_ip, "zeros")),
 }
 
-VARIANTS = ("carry-network",) + tuple(_VARIANT_FIELDS)
+VARIANTS = tuple(_VARIANTS)
 
 
 def request_for(variant_id: str, n: int) -> AdderRequest:
-    """The request corresponding to a variant id (not ``carry-network``)."""
-    if variant_id not in _VARIANT_FIELDS:
+    """The request corresponding to a variant id."""
+    if variant_id not in _VARIANTS:
         raise CircuitError(f"unknown variant {variant_id!r}")
-    function, in_place, ic, zero_rep = _VARIANT_FIELDS[variant_id]
-    return AdderRequest(n, function, in_place, ic, zero_rep)
+    return AdderRequest(n, *_VARIANTS[variant_id][0])
 
 
 def build_variant(variant_id: str, n: int) -> Circuit:
-    """Build any variant, including the bare carry network."""
-    if variant_id == "carry-network":
-        return build_carry_network(n)
+    """Build any variant, the bare carry network included."""
     return build(request_for(variant_id, n))
 
 
 def build(request: AdderRequest) -> Circuit:
     """Build the circuit described by a request."""
-    n = request.n
-    if request.function == "add":
-        if request.in_place:
-            return gen_add_ip(n, request.incoming_carry)
-        return gen_add_oop(n, request.incoming_carry)
-    if request.function == "add-mod2n":
-        return gen_add_mod2n(n, request.in_place, request.incoming_carry)
-    if request.function == "add-mersenne":
-        return gen_add_mersenne(n, request.in_place, request.zero_rep)
-    if request.function == "subtract":
-        return gen_sub(n, request.in_place)
-    return gen_compare(n, request.incoming_carry)
+    return _VARIANTS[request.variant_id][1](request.n)

@@ -91,13 +91,6 @@ def network_gates(n: int, slot: WireFn, gw: WireFn, pw: WireFn) -> list[Gate]:
     return levelize(p_gates + g_gates + c_gates + pinv)
 
 
-def check_network_width(n: int) -> None:
-    """Raise :class:`CircuitError` unless a carry network of width ``n``
-    exists."""
-    if n < 1:
-        raise CircuitError(f"carry network needs n >= 1, got {n}")
-
-
 def build_carry_network(n: int) -> Circuit:
     """Standalone width-``n`` carry circuit.
 
@@ -105,7 +98,8 @@ def build_carry_network(n: int) -> Circuit:
     ``Z[n]`` holds the generate bits on entry and the carries ``c_1..c_n`` on
     exit, ``X`` holds the interval-propagate ancillae (clean in, clean out).
     """
-    check_network_width(n)
+    if n < 1:
+        raise CircuitError(f"carry network needs n >= 1, got {n}")
     layout = RegisterLayout(
         [
             Register("B", n, Role.INPUT_B),

@@ -14,8 +14,7 @@ import json
 import re
 import sys
 
-from .adders import VARIANTS, AdderRequest, build, build_variant, request_for
-from .carry import check_network_width
+from .adders import FUNCTIONS, VARIANTS, AdderRequest, build, request_for
 from .core import Circuit, CircuitError, resource_report
 from .formulas import verify_family
 from .sim import (
@@ -23,7 +22,6 @@ from .sim import (
     exhaustive_check,
     expected_state,
     run_operands,
-    uses_carry_in,
 )
 from .textfmt import ParseError, emit_native, emit_qasm, parse_native
 
@@ -82,28 +80,17 @@ def _fmt_value(value: int, size: int, bits: bool) -> str:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     try:
-        if args.circuit == "carry-network":
-            if args.in_place or args.incoming_carry or args.zero_rep:
-                raise CircuitError("carry-network takes no variant flags")
-            circuit = build_variant("carry-network", args.n)
-            vid = "carry-network"
-        else:
-            request = AdderRequest(
-                n=args.n,
-                function=args.circuit,
-                in_place=args.in_place,
-                incoming_carry=args.incoming_carry,
-                zero_rep=args.zero_rep,
-            )
-            circuit = build(request)
-            vid = request.variant_id
+        request = AdderRequest(args.n, args.circuit, args.in_place,
+                               args.incoming_carry, args.zero_rep)
+        circuit = build(request)
     except CircuitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "qasm":
         text = emit_qasm(circuit)
     else:
-        text = emit_native(circuit, [f"variant={vid} n={args.n}"])
+        text = emit_native(circuit,
+                           [f"variant={request.variant_id} n={args.n}"])
     if args.output in (None, "-"):
         sys.stdout.write(text)
         return EXIT_OK
@@ -126,15 +113,9 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if n is None:
         print("error: file carries no width stamp", file=sys.stderr)
         return EXIT_USAGE
-    if vid not in VARIANTS:
-        print(f"error: unknown variant {vid!r}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         # a stamp names a circuit only at a width the variant is built at
-        if vid == "carry-network":
-            check_network_width(n)
-        else:
-            request_for(vid, n)
+        request = request_for(vid, n)
         check_inputs(circuit, vid, n)
         cex = (exhaustive_check(vid, n, circuit=circuit) if args.exhaustive
                else None)
@@ -146,7 +127,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         if cex is not None:
             print(f"FAIL: {cex}")
             return EXIT_MISMATCH
-        inputs = 4 ** n * (2 if uses_carry_in(vid) else 1)
+        inputs = 4 ** n * (2 if request.incoming_carry else 1)
         print(f"pass ({inputs} inputs)")
         return EXIT_OK
 
@@ -154,7 +135,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         print("error: sim needs --a and --b (or --exhaustive)",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.y and not uses_carry_in(vid):
+    if args.y and not request.incoming_carry:
         print(f"error: {vid} has no carry-in, so --y must be 0",
               file=sys.stderr)
         return EXIT_USAGE
@@ -168,10 +149,10 @@ def cmd_sim(args: argparse.Namespace) -> int:
     actual = run_operands(circuit, vid, args.a, args.b, args.y)
     expected = expected_state(vid, n, args.a, args.b, args.y)
     sizes = {r.name: r.size for r in circuit.layout.registers}
-    b_is_output = "-ip" in vid  # in-place circuits overwrite b with the sum
 
-    # every register the oracle names, then any other the file declares,
-    # which must end at 0 as an ancilla does
+    # every register the oracle names, then any other the file declares;
+    # X and those others are clean when they end as the oracle says: at 0,
+    # but for the wrap carry the in-place Mersenne adders park in X[0]
     regs = [*expected, *(r for r in actual if r not in expected)]
     parts = []
     restored = True
@@ -179,8 +160,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
     for reg in regs:
         got, want = actual.get(reg, 0), expected.get(reg, 0)
         if reg == "X" or reg not in expected:
-            clean = clean and got == 0
-        elif reg in ("A", "Y") or (reg == "B" and not b_is_output):
+            clean = clean and got == want
+        elif reg in ("A", "Y") or (reg == "B" and not request.in_place):
             restored = restored and got == want
         else:
             parts.append(f"{reg}={_fmt_value(got, sizes.get(reg, n), args.bits)}")
@@ -221,9 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a circuit file")
-    gen.add_argument("--circuit", required=True,
-                     choices=["add", "add-mod2n", "add-mersenne", "subtract",
-                              "compare", "carry-network"])
+    gen.add_argument("--circuit", required=True, choices=FUNCTIONS)
     gen.add_argument("--n", required=True, type=_int)
     gen.add_argument("--in-place", action="store_true")
     gen.add_argument("--incoming-carry", action="store_true")

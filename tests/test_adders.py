@@ -8,7 +8,6 @@ from qcla import (
     CircuitError,
     GateKind,
     build_variant,
-    gen_compare,
     request_for,
     resource_report,
 )
@@ -53,8 +52,6 @@ def test_invalid_requests_rejected(kwargs):
 
 def test_variant_ids_round_trip():
     for vid in VARIANTS:
-        if vid == "carry-network":
-            continue
         assert request_for(vid, 8).variant_id == vid
     with pytest.raises(CircuitError):
         request_for("no-such-variant", 8)
@@ -119,7 +116,7 @@ def test_subtractor_toffoli_count_matches_adder(n):
 def test_compare_g_round_structure_width_seven():
     # the kept G-round cone has n - 1 Toffolis; undoing the non-output ones
     # takes n - w(n-1) - 1 more (the rest feed the output carry chain)
-    c = gen_compare(7)
+    c = build_variant("compare", 7)
     g_ccx = [g for g in c.gates
              if g.phase == "G" and g.kind is GateKind.TOFFOLI]
     assert len(g_ccx) == 6

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qcla
 from qcla import Circuit, GateKind, build_variant, emit_native, resource_report
-from qcla.adders import VARIANTS
+from qcla.adders import VARIANTS, request_for
 from qcla.cli import main
 
 
@@ -21,6 +21,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def wrap_everywhere(monkeypatch, original, wrapper):
+    """Replace ``original`` by ``wrapper`` in every qcla module binding it."""
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.split(".")[0] == "qcla":
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
 
 
 def gen_file(tmp_path, capsys, name, *flags):
@@ -52,6 +61,15 @@ def test_gen_rejects_bad_flag_combination(capsys):
     code, _, err = run(capsys, "gen", "--circuit", "add", "--n", "4",
                        "--zero-rep", "ones")
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--in-place"], ["--incoming-carry"],
+                                   ["--zero-rep", "ones"]])
+def test_gen_carry_network_takes_no_variant_flags(capsys, flags):
+    code, out, err = run(capsys, "gen", "--circuit", "carry-network",
+                         "--n", "4", *flags)
+    assert code == 2 and out == ""
+    assert err == "error: carry-network takes no variant flags\n"
 
 
 def test_gen_mersenne_in_place_toffoli_count(tmp_path, capsys):
@@ -214,13 +232,28 @@ def test_verify_builds_each_width_once(monkeypatch):
         calls.append((vid, n))
         return original(vid, n)
 
-    for mod in list(sys.modules.values()):
-        if mod is not None and mod.__name__.split(".")[0] == "qcla":
-            for key, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, key, counting)
+    wrap_everywhere(monkeypatch, original, counting)
     assert main(["verify", "--family", "add-ip", "--range", "1..10"]) == 0
     assert calls == [("add-ip", n) for n in range(1, 11)]
+
+
+def test_every_build_goes_through_adders_build(monkeypatch, capsys):
+    # the carry network once had builds of its own, which a fault injected
+    # into adders.build never reached
+    calls = []
+    original = qcla.adders.build
+
+    def counting(request):
+        calls.append(request.variant_id)
+        return original(request)
+
+    wrap_everywhere(monkeypatch, original, counting)
+    for vid in VARIANTS:
+        build_variant(vid, 4)
+    assert calls == list(VARIANTS)
+    calls.clear()
+    code, _, _ = run(capsys, "gen", "--circuit", "carry-network", "--n", "8")
+    assert code == 0 and calls == ["carry-network"]
 
 
 def test_verify_prints_exhaustive_failures_after_every_resource_line(
@@ -341,6 +374,25 @@ def test_sim_requires_a_register_the_oracle_does_not_name_to_end_at_0(
     assert code == 1 and out.endswith("register W = 1, expected 0\n")
 
 
+def test_sim_says_clean_exactly_when_it_exits_0(tmp_path, capsys):
+    # the in-place Mersenne adders park a set wrap carry in X[0] on one
+    # operand pattern, which sim once reported as clean=false with exit 0
+    sets = 0
+    for vid in VARIANTS:
+        path = tmp_path / f"{vid}.qc"
+        path.write_text(emit_native(build_variant(vid, 3),
+                                    [f"variant={vid} n=3"]))
+        for y in (0, 1) if request_for(vid, 3).incoming_carry else (0,):
+            for a in range(8):
+                for b in range(8):
+                    code, out, _ = run(capsys, "sim", str(path), "--a",
+                                       str(a), "--b", str(b), "--y", str(y))
+                    assert (code, out.endswith(" restored=true clean=true\n")
+                            ) == (0, True), (vid, a, b, y, out)
+                    sets += 1
+    assert sets == 22 * 64
+
+
 def test_sim_exhaustive_past_the_width_limit_is_a_usage_error(tmp_path,
                                                                capsys):
     path = gen_file(tmp_path, capsys, "a13.qc", "--circuit", "add",
@@ -387,7 +439,7 @@ def test_sim_rejects_a_width_stamp_the_registers_disagree_with(
 @pytest.mark.parametrize("vid,n,message", [
     ("add-oop", 0, "add requires n >= 1, got 0"),  # once passed 1 input
     ("compare", 1, "compare requires n >= 2, got 1"),
-    ("carry-network", 0, "carry network needs n >= 1, got 0"),
+    ("carry-network", 0, "carry-network requires n >= 1, got 0"),
 ])
 @pytest.mark.parametrize("mode", [["--a", "0", "--b", "0"], ["--exhaustive"]])
 def test_sim_rejects_a_width_stamp_with_no_circuit(tmp_path, capsys, vid, n,

@@ -118,6 +118,19 @@ def test_every_name_the_benchmark_binds_resolves():
             request.zero_rep) == ("add-mersenne", True, False, "zeros")
 
 
+def test_variant_order_is_pinned():
+    # bench/workloads.py draws its seeded ops in this order, so a reordered
+    # table would give two commits different op streams on the same seed
+    assert qcla.VARIANTS == (
+        "carry-network",
+        "add-oop", "add-oop-ic", "add-ip", "add-ip-ic",
+        "add-mod2n-oop", "add-mod2n-oop-ic", "add-mod2n-ip", "add-mod2n-ip-ic",
+        "sub-oop", "sub-ip", "compare", "compare-ic",
+        "mersenne-oop-ones", "mersenne-oop-zeros",
+        "mersenne-ip-ones", "mersenne-ip-zeros",
+    )
+
+
 @pytest.mark.parametrize("path",
                          sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
                          ids=lambda p: p.name)
