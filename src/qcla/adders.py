@@ -493,11 +493,17 @@ _VARIANTS: dict[str, tuple[tuple[str, bool, bool, str | None],
 VARIANTS = tuple(_VARIANTS)
 
 
-def request_for(variant_id: str, n: int) -> AdderRequest:
-    """The request corresponding to a variant id."""
+def variant_fields(variant_id: str) -> tuple[str, bool, bool, str | None]:
+    """A variant's ``AdderRequest`` fields but the width: ``(function,
+    in_place, incoming_carry, zero_rep)``."""
     if variant_id not in _VARIANTS:
         raise CircuitError(f"unknown variant {variant_id!r}")
-    return AdderRequest(n, *_VARIANTS[variant_id][0])
+    return _VARIANTS[variant_id][0]
+
+
+def request_for(variant_id: str, n: int) -> AdderRequest:
+    """The request corresponding to a variant id."""
+    return AdderRequest(n, *variant_fields(variant_id))
 
 
 def build_variant(variant_id: str, n: int) -> Circuit:

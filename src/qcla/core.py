@@ -13,12 +13,17 @@ A wire is a plain ``int``: its flat position in the ``RegisterLayout`` (the
 register's offset plus the bit index).  A ``Gate`` is an immutable
 ``(kind, controls, target, phase)`` tuple over those ints, so hot loops
 unpack gates directly and index per-wire lists.  Only the text format names
-a wire by register and bit, through :meth:`RegisterLayout.wire_at`.
+a wire by register and bit.
+
+Each check runs where its facts are known.  A gate is checked when it is
+made (``Gate``, ``not_``, ``cnot``, ``ccx``): its control count matches its
+kind and its wires are distinct.  A ``Circuit`` checks what depends on its
+layout -- every element is a ``Gate`` and every distinct wire an ``int``
+below the layout's size -- in set passes over the whole gate list.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -67,17 +72,23 @@ class Gate(tuple):
 
     A ``Gate`` is an immutable ``(kind, controls, target, phase)`` tuple
     whose wires are flat indices into the circuit's layout; it compares
-    equal to the plain tuple with the same fields, phase included.  Gates
-    are not checked when built: :class:`Circuit` checks the control count
-    against the kind, that the wires are distinct and that they lie in the
-    layout, once for the whole gate list.
+    equal to the plain tuple with the same fields, phase included.  Making
+    a gate checks that its control count matches its kind and that its
+    wires are distinct, and raises :class:`CircuitError` otherwise; that
+    the wires lie in a layout is the :class:`Circuit`'s check.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: GateKind, controls: Iterable[int], target: int,
                 phase: str | None = None) -> Gate:
-        return tuple.__new__(cls, (kind, tuple(controls), target, phase))
+        controls = tuple(controls)
+        if len(controls) != _NUM_CONTROLS.get(kind, -1):
+            raise CircuitError(f"{kind} gate with controls {controls!r}")
+        if target in controls or (len(controls) == 2
+                                  and controls[0] == controls[1]):
+            raise _repeated((*controls, target))
+        return tuple.__new__(cls, (kind, controls, target, phase))
 
     kind = property(itemgetter(0))
     controls = property(itemgetter(1))
@@ -95,12 +106,17 @@ class Gate(tuple):
         return f"{self[0].value} {' '.join(map(str, self.wires))}"
 
 
+def _repeated(wires: tuple) -> CircuitError:
+    return CircuitError(f"gate wires must be distinct: {wires}")
+
+
 _new = tuple.__new__
 _NOT, _CNOT, _TOFFOLI = GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI
 
 
 def retag(gates: Iterable[Gate], phase: str) -> list[Gate]:
-    """The same gates with their phase tag replaced."""
+    """The same gates with their phase tag replaced (their fields were
+    checked when they were made)."""
     return [_new(Gate, (kind, controls, target, phase))
             for kind, controls, target, _ in gates]
 
@@ -110,10 +126,14 @@ def not_(target: int, phase: str | None = None) -> Gate:
 
 
 def cnot(control: int, target: int, phase: str | None = None) -> Gate:
+    if control == target:
+        raise _repeated((control, target))
     return _new(Gate, (_CNOT, (control,), target, phase))
 
 
 def ccx(c1: int, c2: int, target: int, phase: str | None = None) -> Gate:
+    if c1 == c2 or c1 == target or c2 == target:
+        raise _repeated((c1, c2, target))
     return _new(Gate, (_TOFFOLI, (c1, c2), target, phase))
 
 
@@ -146,7 +166,6 @@ class RegisterLayout:
             offsets[r.name] = total
             total += r.size
         self._offsets = offsets
-        self._starts = list(offsets.values())
         self.total_size = total
 
     def __getitem__(self, name: str) -> Register:
@@ -163,15 +182,6 @@ class RegisterLayout:
         """Flat indices of the register's wires, LSB first."""
         off = self._offsets[name]
         return list(range(off, off + self._by_name[name].size))
-
-    def wire_at(self, index: int) -> tuple[str, int]:
-        """The ``(register, bit)`` pair of a flat index."""
-        if not 0 <= index < self.total_size:
-            raise CircuitError(f"flat index {index} not in layout")
-        # the last register starting at or below the index holds it: an
-        # empty register shares its start with the register after it
-        r = self.registers[bisect_right(self._starts, index) - 1]
-        return r.name, index - self._offsets[r.name]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RegisterLayout) and self.registers == other.registers
@@ -192,8 +202,10 @@ class Barrier:
 class Circuit:
     """An immutable gate list over a register layout, with phase barriers.
 
-    Construction checks every gate once: its control count matches its
-    kind, its wires are distinct, and each is a flat index of the layout.
+    Construction checks what the layout decides, in set passes over the
+    gate list: every element is a :class:`Gate` (whose arity and distinct
+    wires were checked when it was made), and every distinct wire is a
+    flat index of the layout.
     """
 
     def __init__(
@@ -229,22 +241,27 @@ _CONTROLS = itemgetter(1)
 _TARGET = itemgetter(2)
 
 
-def _check_gates(gates: Sequence[Gate], width: int) -> int:
-    """Raise :class:`CircuitError` on a malformed gate; return one more than
-    the highest wire the gates touch (0 for no gates)."""
-    for kind, controls, target, _ in gates:
-        if len(controls) != _NUM_CONTROLS.get(kind, -1):
-            raise CircuitError(f"{kind} gate with controls {controls!r}")
-        if target in controls or (len(controls) == 2
-                                  and controls[0] == controls[1]):
-            raise CircuitError(
-                f"gate wires must be distinct: {(*controls, target)}")
-    wires = set(map(_TARGET, gates))  # each distinct wire once
+def touched_wires(gates: Sequence[Gate]) -> set[int]:
+    """Every distinct wire the gates touch, each once."""
+    wires = set(map(_TARGET, gates))
     wires.update(chain.from_iterable(map(_CONTROLS, gates)))
-    for w in wires:
-        if type(w) is not int or not 0 <= w < width:
-            raise CircuitError(f"wire {w!r} is not a flat index below {width}")
-    return max(wires, default=-1) + 1
+    return wires
+
+
+def _check_gates(gates: Sequence[Gate], width: int) -> int:
+    """Raise :class:`CircuitError` unless every element is a :class:`Gate`
+    and every distinct wire an ``int`` below ``width``; return one more
+    than the highest wire the gates touch (0 for no gates)."""
+    if not set(map(type, gates)) <= {Gate}:
+        bad = next(g for g in gates if type(g) is not Gate)
+        raise CircuitError(f"{bad!r} is not a Gate")
+    wires = touched_wires(gates)
+    if set(map(type, wires)) <= {int} and min(wires, default=0) >= 0:
+        span = max(wires, default=-1) + 1
+        if span <= width:
+            return span
+    bad = next(w for w in wires if type(w) is not int or not 0 <= w < width)
+    raise CircuitError(f"wire {bad!r} is not a flat index below {width}")
 
 
 def _width(gates: Sequence[Gate]) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .adders import VARIANTS, build_variant
+from .adders import build_variant, variant_fields
 from .core import Circuit, CircuitError, GateKind
 
 # ---------------------------------------------------------------------------
@@ -97,16 +97,13 @@ def _sample(cols: Sequence[int], s: int) -> int:
 # Column oracle
 
 
-def uses_carry_in(variant_id: str) -> bool:
-    return variant_id.endswith("-ic")
-
-
 def input_registers(variant_id: str) -> list[tuple[str, str]]:
     """(operand, register) pairs consumed by a variant."""
-    if variant_id == "carry-network":
+    function, _, incoming_carry, _ = variant_fields(variant_id)
+    if function == "carry-network":
         return [("a", "Z"), ("b", "B")]
     pairs = [("a", "A"), ("b", "B")]
-    if uses_carry_in(variant_id):
+    if incoming_carry:
         pairs.append(("y", "Y"))
     return pairs
 
@@ -156,42 +153,41 @@ def _expected_columns(variant_id: str, n: int, a: Sequence[int],
     For ``carry-network``, ``a`` is the generate string (register ``Z``)
     and ``b`` the propagate string (register ``B``).
     """
-    if variant_id == "carry-network":
+    function, in_place, incoming_carry, zero_rep = variant_fields(variant_id)
+    if function == "carry-network":
         c, carries = 0, []
         for g, p in zip(a, b):
             c = g ^ (p & c)
             carries.append(c)
         return {"B": list(b), "Z": carries, "X": []}
-    if variant_id not in VARIANTS:
-        raise CircuitError(f"unknown variant {variant_id!r}")
     out = {"A": list(a), "X": []}
-    if uses_carry_in(variant_id):
+    if incoming_carry:
         out["Y"] = [y]
     else:
         y = 0
-    if variant_id.startswith("add-mod2n"):
+    if function == "add-mod2n":
         s = _ripple(a, b, y)[:n]
-    elif variant_id.startswith("add"):
+    elif function == "add":
         s = _ripple(a, b, y)
-    elif variant_id.startswith("sub"):  # 2^n + a - b = a + ~b + 1
+    elif function == "subtract":  # 2^n + a - b = a + ~b + 1
         s = _ripple(a, [mask ^ x for x in b], mask)
-    elif variant_id.startswith("compare"):  # a >= b + y: carry of a + ~b + ~y
+    elif function == "compare":  # a >= b + y: carry of a + ~b + ~y
         s = _ripple(a, [mask ^ x for x in b], mask ^ y)[n:]
-    else:  # mersenne: end-around carry, then the representation of zero
+    else:  # add-mersenne: end-around carry, then the representation of zero
         s = _ripple(a, b, 0)
         wrapped = s[n]
         s = _ripple(s[:n], [0] * n, wrapped)[:n]
-        zeros = variant_id.endswith("zeros")
+        zeros = zero_rep == "zeros"
         if zeros:  # all ones without a wrap is the sum 2^n - 1, i.e. zero
             kill = _all(s, mask ^ wrapped)
             s = [x ^ kill for x in s]
-        if "-ip-" in variant_id:
+        if in_place:
             # b = 0 and b = 2^n - 1 produce the same sum, so a reversible
             # circuit must separate them somewhere: the non-canonical zero
             # pattern of the chosen representation parks a set wrap-carry
             # ancilla (characterized by exhaustive simulation)
             out["X"] = [_all(b if zeros else [mask ^ x for x in b], mask)]
-    if "-ip" in variant_id:  # in place: the sum overwrites b
+    if in_place:  # the sum overwrites b
         out["B"] = s[:n]
         if s[n:]:
             out["Z"] = s[n:]
@@ -221,13 +217,20 @@ def expected_state(variant_id: str, n: int, a: int, b: int,
 
 def run_operands(circuit: Circuit, variant_id: str, a: int, b: int,
                  y: int = 0) -> dict[str, int]:
-    """Run one operand assignment; returns final values per register name."""
+    """Run one operand assignment; returns final values per register name.
+
+    The columns end at the highest wire that a gate or an input touches,
+    and a register past that end reads 0: declared bits beyond every
+    touched wire cost nothing.
+    """
     layout = circuit.layout
-    cols = zero_columns(circuit)
     ops = {"a": a, "b": b, "y": y}
-    for op, reg in input_registers(variant_id):
-        for i, w in enumerate(layout.indices(reg)):
-            cols[w] = (ops[op] >> i) & 1
+    inputs = [(ops[op], layout.indices(reg))
+              for op, reg in input_registers(variant_id)]
+    cols = [0] * max([circuit._span, *(w[-1] + 1 for _, w in inputs if w)])
+    for value, wires in inputs:
+        for i, w in enumerate(wires):
+            cols[w] = (value >> i) & 1
     run_columns(circuit, cols, 1)
     out = {}
     for r in layout.registers:

@@ -8,15 +8,22 @@ layout order as ``reg <name> <size> <role>``; gate lines are
 Parsing is strict: unknown tokens are errors, reported with the line
 number.
 
-Parsing resolves each distinct gate line and each distinct wire token
-once, so equal gate lines share one immutable :class:`Gate`.  The adders
-uncompute what they compute and repeat many of their lines, and parse
-cost follows the distinct lines.
+Both directions work in bulk.  Emitting formats the token of each wire
+that a gate touches once, so declared bits that no gate touches cost
+nothing, and writes each run of gates between two barriers with one list
+comprehension over that token table.  Parsing reads the register header
+line by line, then resolves each distinct body line once, and each distinct
+wire token once, and maps the file's lines through that table: equal gate
+lines share one immutable :class:`Gate`.  The adders uncompute what they
+compute and repeat many of their lines, so parse cost follows the distinct
+lines.  An error is reported at the first line that has it.
 """
 
 from __future__ import annotations
 
-import re
+from bisect import bisect_left
+from itertools import islice
+from typing import Iterator
 
 from .core import (
     Barrier,
@@ -30,6 +37,7 @@ from .core import (
     ccx,
     cnot,
     not_,
+    touched_wires,
 )
 
 __all__ = ["ParseError", "emit_native", "parse_native", "emit_qasm"]
@@ -43,53 +51,58 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-_WIRE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\]$")
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+def _wire_tokens(circuit: Circuit, names: dict[str, str]) -> dict[int, str]:
+    """Flat wire -> its token ``name[bit]``, for each wire the gates touch,
+    with each register spelled as ``names`` says."""
+    layout = circuit.layout
+    wires = sorted(touched_wires(circuit.gates))
+    tokens: dict[int, str] = {}
+    start = 0  # registers follow each other, so their wires do too
+    for r in layout.registers:
+        if r.size:
+            off, name = layout.offset(r.name), names[r.name]
+            end = bisect_left(wires, off + r.size, start)
+            tokens.update([(w, f"{name}[{w - off}]") for w in wires[start:end]])
+            start = end
+    return tokens
 
 
-class _WireTokens(dict):
-    """Flat wire index -> its text token, each formatted on first use."""
-
-    def __init__(self, layout: RegisterLayout):
-        super().__init__()
-        self.wire_at = layout.wire_at
-
-    def __missing__(self, index: int) -> str:
-        name, bit = self.wire_at(index)
-        token = self[index] = f"{name}[{bit}]"
-        return token
-
-
-_LINE = {GateKind.NOT: "not %s", GateKind.CNOT: "cnot %s %s",
-         GateKind.TOFFOLI: "ccx %s %s %s"}  # controls first, then the target
+def _runs(circuit: Circuit) -> Iterator[tuple[tuple[Gate, ...], Barrier | None]]:
+    """The runs of gates between barriers, each with the barrier after it
+    (``None`` after the last run)."""
+    gates, start = circuit.gates, 0
+    for b in circuit.barriers:
+        yield gates[start:b.position], b
+        start = b.position
+    yield gates[start:], None
 
 
 def emit_native(circuit: Circuit, header_comments: list[str] | None = None) -> str:
     """Serialize a circuit to the native text format."""
+    regs = circuit.layout.registers
     lines = [f"# {c}" for c in header_comments or []]
-    for r in circuit.layout.registers:
-        lines.append(f"reg {r.name} {r.size} {r.role.value}")
-    token = _WireTokens(circuit.layout).__getitem__
-
-    def gate_line(gate: Gate) -> str:
-        kind, controls, target, _ = gate
-        return _LINE[kind] % (*map(token, controls), token(target))
-
-    gates = circuit.gates
-    start = 0
-    for b in circuit.barriers:
-        lines += map(gate_line, gates[start:b.position])
-        lines.append(f"barrier {b.label}")
-        start = b.position
-    lines += map(gate_line, gates[start:])
+    lines += [f"reg {r.name} {r.size} {r.role.value}" for r in regs]
+    tok = _wire_tokens(circuit, {r.name: r.name for r in regs})
+    toffoli, cnot_kind = GateKind.TOFFOLI, GateKind.CNOT
+    for run, barrier in _runs(circuit):
+        # controls first, then the target
+        lines += [f"ccx {tok[c[0]]} {tok[c[1]]} {tok[t]}" if k is toffoli
+                  else f"cnot {tok[c[0]]} {tok[t]}" if k is cnot_kind
+                  else f"not {tok[t]}"
+                  for k, c, t, _ in run]
+        if barrier is not None:
+            lines.append(f"barrier {barrier.label}")
     return "\n".join(lines) + "\n"
 
 
-_ROLES = {r.value: r for r in Role}
+class _BadLine(Exception):
+    """A malformed line; the parser adds its line number."""
 
 
-class _BadWire(Exception):
-    """A wire token that names no declared wire; the parser adds the line."""
+def _is_name(text: str) -> bool:
+    """Whether ``text`` is a register name, ``[A-Za-z_][A-Za-z0-9_]*``."""
+    return (text.isascii() and text.replace("_", "a").isalnum()
+            and not text[0].isdigit())
 
 
 class _WireIndex(dict):
@@ -106,26 +119,75 @@ class _WireIndex(dict):
         self.offsets = offsets  # register -> flat index of its bit 0
 
     def __missing__(self, token: str) -> int:
-        m = _WIRE_RE.match(token)
-        if not m:
-            raise _BadWire(f"malformed wire reference {token!r}")
-        name, index = m.group(1), int(m.group(2))
-        if name not in self.sizes:
-            raise _BadWire(f"undeclared register {name!r}")
-        if index >= self.sizes[name]:
-            raise _BadWire(f"wire {token} out of range")
-        w = self[token] = self.offsets[name] + index
-        return w
+        # a token reads name[digits], digits in ASCII; a declared name is
+        # well formed, so only an undeclared one needs the name check
+        name, _, rest = token.partition("[")
+        digits = rest[:-1]
+        if rest[-1:] == "]" and digits.isascii() and digits.isdigit():
+            size = self.sizes.get(name)
+            if size is not None:
+                index = int(digits)
+                if index >= size:
+                    raise _BadLine(f"wire {token} out of range")
+                w = self[token] = self.offsets[name] + index
+                return w
+            if _is_name(name):
+                raise _BadLine(f"undeclared register {name!r}")
+        raise _BadLine(f"malformed wire reference {token!r}")
 
 
-def _arity_error(lineno: int, tokens: list[str], want: int) -> ParseError:
-    return ParseError(lineno,
-                      f"{tokens[0]} needs {want} wires, got {len(tokens) - 1}")
+def _arity_error(tokens: list[str], want: int) -> _BadLine:
+    return _BadLine(f"{tokens[0]} needs {want} wires, got {len(tokens) - 1}")
 
 
-def _distinct_error(lineno: int, tokens: list[str]) -> ParseError:
-    return ParseError(lineno,
-                      f"gate wires must be distinct: {' '.join(tokens[1:])}")
+def _body_line(raw: str, wires: _WireIndex) -> Gate | str | None:
+    """What a line other than a register header holds: a gate, a barrier's
+    label, or ``None`` for a blank or comment line."""
+    tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+    if not tokens:
+        return None
+    op = tokens[0]
+    try:
+        if op == "ccx":
+            if len(tokens) != 4:
+                raise _arity_error(tokens, 3)
+            return ccx(wires[tokens[1]], wires[tokens[2]], wires[tokens[3]])
+        if op == "cnot":
+            if len(tokens) != 3:
+                raise _arity_error(tokens, 2)
+            return cnot(wires[tokens[1]], wires[tokens[2]])
+        if op == "not":
+            if len(tokens) != 2:
+                raise _arity_error(tokens, 1)
+            return not_(wires[tokens[1]])
+    except CircuitError:  # the gate repeats a wire
+        raise _BadLine(f"gate wires must be distinct: "
+                       f"{' '.join(tokens[1:])}") from None
+    if op == "barrier":
+        if len(tokens) != 2:
+            raise _BadLine("barrier needs exactly one label")
+        return tokens[1]
+    if op == "reg":
+        raise _BadLine("reg line after first gate")
+    raise _BadLine(f"unknown directive {op!r}")
+
+
+def _split_barriers(items: list, barriers: list[Barrier]) -> list[Gate]:
+    """The gates among ``items``, the body's lines read as gates, barrier
+    labels and ``None`` for blank lines; each label becomes a barrier."""
+    # the k-th line that holds no gate, at index i, follows i - k gates
+    marks = [i for i, item in enumerate(items) if type(item) is not Gate]
+    if not marks:
+        return items
+    gates: list[Gate] = []
+    last = 0
+    for k, i in enumerate(marks):
+        gates += items[last:i]
+        if items[i] is not None:
+            barriers.append(Barrier(i - k, items[i]))
+        last = i + 1
+    gates += items[last:]
+    return gates
 
 
 def parse_native(text: str) -> Circuit:
@@ -135,76 +197,62 @@ def parse_native(text: str) -> Circuit:
     phase; barriers and all counts round-trip exactly.  Every error,
     including an invalid register layout, is a :class:`ParseError`.
     """
+    lines = text.splitlines()
     registers: list[Register] = []
     sizes: dict[str, int] = {}
     offsets: dict[str, int] = {}
     total = 0
-    gates: list[Gate] = []
     barriers: list[Barrier] = []
     reg_lineno = 0  # line of the last register header
     wires = _WireIndex(sizes, offsets)
-    # raw gate line -> its gate; a repeat is a valid line whose wires were
-    # resolved against the same, by then fixed, registers
-    parsed: dict[str, Gate] = {}
-    lineno = 0
+    first = len(lines)  # index of the first gate line
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens[:1] != ["reg"]:
+            try:
+                item = _body_line(raw, wires)
+            except _BadLine as exc:
+                raise ParseError(lineno, str(exc)) from None
+            if type(item) is Gate:
+                first = lineno - 1
+                break
+            if item is not None:
+                barriers.append(Barrier(0, item))
+            continue
+        if len(tokens) != 4:
+            raise ParseError(lineno, "reg needs: name size role")
+        _, name, size_s, role_s = tokens
+        if not _is_name(name):
+            raise ParseError(lineno, f"bad register name {name!r}")
+        if name in sizes:
+            raise ParseError(lineno, f"duplicate register {name!r}")
+        if not (size_s.isascii() and size_s.isdigit()):
+            raise ParseError(lineno, f"bad register size {size_s!r}")
+        try:
+            role = Role(role_s)
+        except ValueError:
+            raise ParseError(lineno, f"unknown role {role_s!r}") from None
+        sizes[name] = int(size_s)
+        offsets[name] = total
+        total += sizes[name]
+        registers.append(Register(name, sizes[name], role))
+        reg_lineno = lineno
+
+    # each distinct body line once, in the order of first appearance, so
+    # the first line to fail is the first failing line of the file
+    table = dict.fromkeys(islice(lines, first, None))
+    raw = ""
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            gate = parsed.get(raw)
-            if gate is not None:
-                gates.append(gate)
-                continue
-            tokens = raw.split("#", 1)[0].split()
-            if not tokens:
-                continue
-            op = tokens[0]
-            if op == "ccx":
-                if len(tokens) != 4:
-                    raise _arity_error(lineno, tokens, 3)
-                c1, c2, t = wires[tokens[1]], wires[tokens[2]], wires[tokens[3]]
-                if c1 == c2 or c1 == t or c2 == t:
-                    raise _distinct_error(lineno, tokens)
-                gate = parsed[raw] = ccx(c1, c2, t)
-                gates.append(gate)
-            elif op == "cnot":
-                if len(tokens) != 3:
-                    raise _arity_error(lineno, tokens, 2)
-                c, t = wires[tokens[1]], wires[tokens[2]]
-                if c == t:
-                    raise _distinct_error(lineno, tokens)
-                gate = parsed[raw] = cnot(c, t)
-                gates.append(gate)
-            elif op == "not":
-                if len(tokens) != 2:
-                    raise _arity_error(lineno, tokens, 1)
-                gate = parsed[raw] = not_(wires[tokens[1]])
-                gates.append(gate)
-            elif op == "reg":
-                if gates:
-                    raise ParseError(lineno, "reg line after first gate")
-                if len(tokens) != 4:
-                    raise ParseError(lineno, "reg needs: name size role")
-                _, name, size_s, role_s = tokens
-                if not _NAME_RE.match(name):
-                    raise ParseError(lineno, f"bad register name {name!r}")
-                if name in sizes:
-                    raise ParseError(lineno, f"duplicate register {name!r}")
-                if not (size_s.isascii() and size_s.isdigit()):
-                    raise ParseError(lineno, f"bad register size {size_s!r}")
-                if role_s not in _ROLES:
-                    raise ParseError(lineno, f"unknown role {role_s!r}")
-                sizes[name] = int(size_s)
-                offsets[name] = total
-                total += sizes[name]
-                registers.append(Register(name, sizes[name], _ROLES[role_s]))
-                reg_lineno = lineno
-            elif op == "barrier":
-                if len(tokens) != 2:
-                    raise ParseError(lineno, "barrier needs exactly one label")
-                barriers.append(Barrier(len(gates), tokens[1]))
-            else:
-                raise ParseError(lineno, f"unknown directive {op!r}")
-    except _BadWire as exc:
-        raise ParseError(lineno, str(exc)) from None
+        for raw in table:
+            table[raw] = _body_line(raw, wires)
+    except _BadLine as exc:
+        raise ParseError(lines.index(raw, first) + 1, str(exc)) from None
+    items = list(map(table.__getitem__, islice(lines, first, None)))
+    # hold one list as long as the file at a time: parse memory then peaks
+    # no higher than with a single pass over the lines
+    del lines, table
+    gates = _split_barriers(items, barriers)
+    del items
     try:
         layout = RegisterLayout(registers)
     except CircuitError as exc:  # reported at the header's last line
@@ -228,20 +276,13 @@ def emit_qasm(circuit: Circuit) -> str:
         qasm_names[r.name] = name
         lines.append(f"qreg {name}[{r.size}];")
     all_regs = ",".join(qasm_names[r.name] for r in regs)
-
-    def ref(index: int) -> str:
-        name, bit = circuit.layout.wire_at(index)
-        return f"{qasm_names[name]}[{bit}]"
-
-    ops = {GateKind.NOT: "x", GateKind.CNOT: "cx", GateKind.TOFFOLI: "ccx"}
-    barriers = list(circuit.barriers)
-    bi = 0
-    for i, g in enumerate(circuit.gates):
-        while bi < len(barriers) and barriers[bi].position == i:
+    tok = _wire_tokens(circuit, qasm_names)
+    toffoli, cnot_kind = GateKind.TOFFOLI, GateKind.CNOT
+    for run, barrier in _runs(circuit):
+        lines += [f"ccx {tok[c[0]]},{tok[c[1]]},{tok[t]};" if k is toffoli
+                  else f"cx {tok[c[0]]},{tok[t]};" if k is cnot_kind
+                  else f"x {tok[t]};"
+                  for k, c, t, _ in run]
+        if barrier is not None:
             lines.append(f"barrier {all_regs};")
-            bi += 1
-        lines.append(f"{ops[g.kind]} {','.join(ref(w) for w in g.wires)};")
-    while bi < len(barriers):
-        lines.append(f"barrier {all_regs};")
-        bi += 1
     return "\n".join(lines) + "\n"

@@ -58,17 +58,22 @@ def final_columns(circuit: Circuit) -> list[int]:
 
 
 def test_gate_control_arity_is_checked():
-    with pytest.raises(CircuitError):
-        Circuit(small_layout(), [Gate(GateKind.CNOT, (), 0)])
-    with pytest.raises(CircuitError):
-        Circuit(small_layout(), [Gate(GateKind.NOT, (1,), 0)])
+    # when the gate is made, before any circuit holds it
+    for kind, controls in [(GateKind.CNOT, ()), (GateKind.NOT, (1,)),
+                           (GateKind.TOFFOLI, (1,)), (GateKind.CNOT, (1, 2)),
+                           (GateKind.TOFFOLI, (1, 2, 3)), ("ccx", (1, 2))]:
+        with pytest.raises(CircuitError, match="gate with controls"):
+            Gate(kind, controls, 0)
 
 
 def test_gate_wires_must_be_distinct():
-    with pytest.raises(CircuitError):
-        Circuit(small_layout(), [cnot(0, 0)])
-    with pytest.raises(CircuitError):
-        Circuit(small_layout(), [ccx(1, 1, 0)])
+    made = [lambda: cnot(0, 0), lambda: ccx(1, 1, 0), lambda: ccx(0, 1, 0),
+            lambda: ccx(0, 1, 1), lambda: Gate(GateKind.CNOT, (3,), 3),
+            lambda: Gate(GateKind.TOFFOLI, (2, 2), 0),
+            lambda: Gate(GateKind.TOFFOLI, (0, 2), 2)]
+    for make in made:
+        with pytest.raises(CircuitError, match="must be distinct"):
+            make()
 
 
 def test_layout_rejects_duplicate_names_and_two_carry_ins():
@@ -88,6 +93,21 @@ def test_circuit_rejects_foreign_wires_and_bad_barriers():
         Circuit(layout, [not_(("W", 0))])  # a name, not a flat index
     with pytest.raises(CircuitError):
         Circuit(layout, [not_(0)], [Barrier(5, "P")])
+
+
+@pytest.mark.parametrize("gates,fragment", [
+    ([(GateKind.NOT, (), 0, None)], "is not a Gate"),  # equal, not a Gate
+    ([not_(0), "not W[1]"], "is not a Gate"),
+    ([cnot(0, 1), not_(1.5)], "wire 1.5 is not a flat index"),
+    ([cnot(0, 2), not_(True)], "wire True is not a flat index"),
+    ([cnot(0, "1")], "wire '1' is not a flat index"),
+    ([not_(-1)], "wire -1 is not a flat index below 3"),
+    ([cnot(0, 1), ccx(0, 1, 3)], "wire 3 is not a flat index below 3"),
+])
+def test_circuit_rejects_a_non_gate_and_a_wire_outside_the_layout(gates,
+                                                                 fragment):
+    with pytest.raises(CircuitError, match=fragment):
+        Circuit(small_layout(3), gates)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Native circuit text format and the OpenQASM exporter."""
 
+import hashlib
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -9,7 +11,12 @@ from hypothesis import strategies as st
 from conftest import valid_small_widths
 from helpers import reference_parse_native
 from qcla import (
+    Barrier,
+    Circuit,
     ParseError,
+    Register,
+    RegisterLayout,
+    Role,
     build_variant,
     emit_native,
     emit_qasm,
@@ -17,6 +24,7 @@ from qcla import (
     resource_report,
 )
 from qcla.adders import VARIANTS
+from qcla.core import ccx, cnot, not_
 
 
 @pytest.mark.parametrize("vid", VARIANTS)
@@ -202,3 +210,111 @@ def test_equal_gate_lines_share_one_gate():
 def test_emit_parse_is_a_fixed_point_at_width_1024(vid):
     text = emit_native(build_variant(vid, 1024))
     assert emit_native(parse_native(text)) == text
+
+
+def test_text_memory_follows_the_gates_not_the_declared_bits():
+    # the first register shifts every touched wire past a million bits
+    # that no gate touches; neither direction may pay for them
+    text = ("reg W 1000000 ancilla\nreg A 2 input-a\nreg B 2 input-b\n"
+            "cnot A[0] B[1]\nbarrier sum\nccx A[0] A[1] B[0]\n")
+    tracemalloc.start()
+    try:
+        circuit = parse_native(text)
+        emitted = emit_native(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emitted == text
+    assert circuit.gates[1].wires == (1_000_000, 1_000_001, 1_000_002)
+    assert peak < 1 << 20
+
+
+SEPARATED = """\
+# variant=add-oop n=2
+reg A 2 input-a
+reg B 2 input-b
+barrier head
+cnot A[0] B[1]
+barrier P
+
+cnot A[0] B[1]
+cnot A[0] B[1]  # the same gate, with a comment
+   cnot   A[0]   B[1]
+barrier P
+# a comment line
+ccx A[0] A[1] B[0]
+barrier P
+barrier G
+cnot A[0] B[1]
+ccx A[0] A[1] B[0]
+not B[0]
+barrier P
+"""
+
+
+def test_repeated_lines_between_barriers_and_comments_parse_as_the_reference():
+    c = parse_native(SEPARATED)
+    assert outcome(parse_native, SEPARATED) == \
+        outcome(reference_parse_native, SEPARATED)
+    assert [(b.position, b.label) for b in c.barriers] == [
+        (0, "head"), (1, "P"), (4, "P"), (5, "P"), (5, "G"), (8, "P")]
+    assert len(c.gates) == 8 and c.gates[0] is c.gates[1] is c.gates[5]
+
+
+@pytest.mark.parametrize("token", [
+    "A[1]", "A[01]", "A[007]", "B[1]", "A[2]", "A[]", "A[1]]", "A[[1]",
+    "[1]", "A1]", "A[1", "A]1[", "A[1][0]", "A[+1]", "A[-1]", "A[1_0]",
+    "A[١]", "a-b[1]", "1A[0]", "_[0]", "C[0]", "Å[0]", "A[1]#",
+])
+def test_wire_tokens_parse_as_the_reference(token):
+    text = f"reg A 2 input-a\nreg B 3 input-b\nreg _ 1 ancilla\nnot {token}\n"
+    assert outcome(parse_native, text) == outcome(reference_parse_native, text)
+
+
+# SHA-256 of emit_qasm's output, taken before its emitter was rewritten
+QASM_DIGESTS = {
+    ("add-oop", 4):
+        "4533c6a89c26a8bf41767d085a3453b1ec7ba20c24bc6d540f6a54af0783aec2",
+    ("add-ip", 7):
+        "e93e76a316816deba6b9b9b5053150633c15271e51d0cf5b8533fdc0186a2248",
+    ("mersenne-ip-zeros", 10):
+        "4750becbf657d4e46a631cda9bd92c5cd6c6cf575113d2e46d4a324972ac19f1",
+    ("compare-ic", 33):
+        "8f3f8737295be2584d953b330c2c737de1c6bb7cfd71f09c05b6ed114add0454",
+    ("carry-network", 16):
+        "f6732fb20f334b7faf0d5cba8456d501b936de31db13af02daf98d79a27dc560",
+    ("sub-ip", 64):
+        "e9c04f930a0d1bf94251e070f70c9463d0a40da8c71cdcafcc16a8c5cfa759ea",
+    ("add-mod2n-ip-ic", 5):
+        "dcbff539c4eac4f126069d24c44c4e211e5f6e3a0168c02608599785fe6286a0",
+}
+
+
+@pytest.mark.parametrize("vid,n", sorted(QASM_DIGESTS))
+def test_qasm_export_is_pinned(vid, n):
+    text = emit_qasm(build_variant(vid, n))
+    assert hashlib.sha256(text.encode()).hexdigest() == QASM_DIGESTS[vid, n]
+
+
+def test_qasm_export_renames_clashing_registers_and_keeps_every_barrier():
+    layout = RegisterLayout([Register("a", 2, Role.INPUT_A),
+                             Register("A", 2, Role.INPUT_B),
+                             Register("E", 0, Role.ANCILLA),
+                             Register("Q", 1, Role.OUTPUT)])
+    c = Circuit(layout, [cnot(0, 2), ccx(1, 3, 4), not_(4)],
+                [Barrier(0, "x"), Barrier(2, "y"), Barrier(3, "z"),
+                 Barrier(3, "w")])
+    assert emit_qasm(c) == """\
+OPENQASM 2.0;
+include "qelib1.inc";
+qreg a[2];
+qreg a_1[2];
+qreg q[1];
+barrier a,a_1,q;
+cx a[0],a_1[0];
+ccx a[1],a_1[1],q[0];
+barrier a,a_1,q;
+x q[0];
+barrier a,a_1,q;
+barrier a,a_1,q;
+"""
