@@ -270,42 +270,31 @@ def _in_place(layout: RegisterLayout, gw: WireFn, width: int,
 # Addition
 
 
-def _add_ip(n: int,
-            incoming_carry: bool) -> tuple[RegisterLayout, list[Gate]]:
-    """``B = (A + B (+ Y)) mod 2^n`` with carry-out in ``Z[0]``.
+def _add_ip(n: int, incoming_carry: bool,
+            mod2n: bool = False) -> tuple[RegisterLayout, list[Gate]]:
+    """``B = (A + B (+ Y)) mod 2^n`` with carry-out in ``Z[0]`` (none if
+    ``mod2n``).
 
-    The carry string is computed with a forward width-``m`` tree and erased
-    with the inverse width-``m-1`` tree running on ``A`` and the bitwise
-    complement of the low sum bits.  With an incoming carry the circuit is
-    the width-``n+1`` form on doubled operands; the position-1 carry wire is
-    the carry-in ``Y`` itself (it is only ever read).
+    A forward width-``m`` tree computes the ``e`` carries below the top sum
+    bit and, unless ``mod2n``, the carry-out; the inverse width-``e`` tree
+    (mod ``2^n`` the same tree) erases the ``e`` on ``A`` and the
+    complemented low sum bits.  With an incoming carry this is the form one
+    wider on doubled operands; position 1's carry wire is the carry-in
+    ``Y`` itself (only ever read).
     """
     lo = int(incoming_carry)
-    m = n + lo
-    layout = _layout(n, 1, n - 1 + interval_slot_count(m), incoming_carry)
+    e = n - 1 + lo  # carries erased
+    m = e + 1 - mod2n  # forward tree width
+    layout = _layout(n, 1 - mod2n, n - 1 + interval_slot_count(m),
+                     incoming_carry)
     A, B, _, X, Y = _registers(layout)
     _, bw, _ = _positions(A, B, Y)
     gw = _carry_homes(layout)
     slot = X[n - 1:].__getitem__  # after the n - 1 scratch carries
-    return layout, _in_place(layout, gw, m, network_gates(m, slot, gw, bw),
-                             network_gates(m - 1, slot, gw, bw),
-                             sums=range(1, m), erase=range(lo, m - 1),
-                             fixes=range(1, m - 1))
-
-
-def _mod2n_ip(n: int,
-              incoming_carry: bool) -> tuple[RegisterLayout, list[Gate]]:
-    """``B = (A + B (+ Y)) mod 2^n`` with both carry trees of width ``n - 1``
-    (``n`` on doubled operands); no carry-out wire at all."""
-    lo = int(incoming_carry)
-    m = n - 1 + lo  # width of both carry trees
-    layout = _layout(n, 0, n - 1 + interval_slot_count(m), incoming_carry)
-    A, B, _, X, Y = _registers(layout)
-    _, bw, _ = _positions(A, B, Y)
-    gw = _carry_homes(layout)
-    tree = network_gates(m, X[n - 1:].__getitem__, gw, bw)
-    return layout, _in_place(layout, gw, m, tree, tree, sums=range(1, m + 1),
-                             erase=range(lo, m), fixes=range(1, m))
+    fwd = network_gates(m, slot, gw, bw)
+    back = fwd if mod2n else network_gates(e, slot, gw, bw)
+    return layout, _in_place(layout, gw, m, fwd, back, sums=range(1, e + 1),
+                             erase=range(lo, e), fixes=range(1, e))
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +462,9 @@ _VARIANTS: dict[str, tuple[tuple[str, bool, bool, str | None],
     "add-mod2n-oop-ic": (("add-mod2n", False, True, None),
                          _adder(_out_of_place, True, True)),
     "add-mod2n-ip": (("add-mod2n", True, False, None),
-                     _adder(_mod2n_ip, False)),
+                     _adder(_add_ip, False, True)),
     "add-mod2n-ip-ic": (("add-mod2n", True, True, None),
-                        _adder(_mod2n_ip, True)),
+                        _adder(_add_ip, True, True)),
     "sub-oop": (("subtract", False, False, None), _adder(_sub, False)),
     "sub-ip": (("subtract", True, False, None), _adder(_sub, True)),
     "compare": (("compare", False, False, None), _adder(_compare, False)),

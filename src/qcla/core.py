@@ -17,9 +17,10 @@ a wire by register and bit.
 
 Each check runs where its facts are known.  A gate is checked when it is
 made (``Gate``, ``not_``, ``cnot``, ``ccx``): its control count matches its
-kind and its wires are distinct.  A ``Circuit`` checks what depends on its
-layout -- every element is a ``Gate`` and every distinct wire an ``int``
-below the layout's size -- in set passes over the whole gate list.
+kind and its wires are distinct ``int`` values (``bool`` and ``1.0`` are
+not).  A ``Circuit`` checks what depends on its layout -- every element is
+a ``Gate`` and every distinct wire below the layout's size -- in set passes
+over the whole gate list.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ class Gate(tuple):
     whose wires are flat indices into the circuit's layout; it compares
     equal to the plain tuple with the same fields, phase included.  Making
     a gate checks that its control count matches its kind and that its
-    wires are distinct, and raises :class:`CircuitError` otherwise; that
-    the wires lie in a layout is the :class:`Circuit`'s check.
+    wires are distinct ``int`` values, and raises :class:`CircuitError`
+    otherwise; that the wires lie in a layout is the :class:`Circuit`'s
+    check.
     """
 
     __slots__ = ()
@@ -85,9 +87,9 @@ class Gate(tuple):
         controls = tuple(controls)
         if len(controls) != _NUM_CONTROLS.get(kind, -1):
             raise CircuitError(f"{kind} gate with controls {controls!r}")
-        if target in controls or (len(controls) == 2
-                                  and controls[0] == controls[1]):
-            raise _repeated((*controls, target))
+        wires = (*controls, target)
+        if {*map(type, wires)} != {int} or len(set(wires)) < len(wires):
+            raise _bad(wires)
         return tuple.__new__(cls, (kind, controls, target, phase))
 
     kind = property(itemgetter(0))
@@ -106,7 +108,12 @@ class Gate(tuple):
         return f"{self[0].value} {' '.join(map(str, self.wires))}"
 
 
-def _repeated(wires: tuple) -> CircuitError:
+def _bad(wires: tuple) -> CircuitError:
+    """Why gate wires are not distinct ``int`` values (``1.0 == 1``)."""
+    for w in wires:
+        if type(w) is not int:
+            return CircuitError(f"wire {w!r} is not a flat index: "
+                                f"{type(w).__name__}, not int")
     return CircuitError(f"gate wires must be distinct: {wires}")
 
 
@@ -122,18 +129,22 @@ def retag(gates: Iterable[Gate], phase: str) -> list[Gate]:
 
 
 def not_(target: int, phase: str | None = None) -> Gate:
+    if type(target) is not int:
+        raise _bad((target,))
     return _new(Gate, (_NOT, (), target, phase))
 
 
 def cnot(control: int, target: int, phase: str | None = None) -> Gate:
-    if control == target:
-        raise _repeated((control, target))
+    if control == target or type(control) is not int \
+            or type(target) is not int:
+        raise _bad((control, target))
     return _new(Gate, (_CNOT, (control,), target, phase))
 
 
 def ccx(c1: int, c2: int, target: int, phase: str | None = None) -> Gate:
-    if c1 == c2 or c1 == target or c2 == target:
-        raise _repeated((c1, c2, target))
+    if c1 == c2 or c1 == target or c2 == target or type(c1) is not int \
+            or type(c2) is not int or type(target) is not int:
+        raise _bad((c1, c2, target))
     return _new(Gate, (_TOFFOLI, (c1, c2), target, phase))
 
 
@@ -204,8 +215,8 @@ class Circuit:
 
     Construction checks what the layout decides, in set passes over the
     gate list: every element is a :class:`Gate` (whose arity and distinct
-    wires were checked when it was made), and every distinct wire is a
-    flat index of the layout.
+    ``int`` wires were checked when it was made), and every distinct wire
+    is a flat index of the layout.
     """
 
     def __init__(
@@ -250,17 +261,17 @@ def touched_wires(gates: Sequence[Gate]) -> set[int]:
 
 def _check_gates(gates: Sequence[Gate], width: int) -> int:
     """Raise :class:`CircuitError` unless every element is a :class:`Gate`
-    and every distinct wire an ``int`` below ``width``; return one more
-    than the highest wire the gates touch (0 for no gates)."""
+    (whose wires are ints) and every distinct wire is below ``width``;
+    return one more than the highest wire the gates touch (0 for none)."""
     if not set(map(type, gates)) <= {Gate}:
         bad = next(g for g in gates if type(g) is not Gate)
         raise CircuitError(f"{bad!r} is not a Gate")
     wires = touched_wires(gates)
-    if set(map(type, wires)) <= {int} and min(wires, default=0) >= 0:
+    if min(wires, default=0) >= 0:
         span = max(wires, default=-1) + 1
         if span <= width:
             return span
-    bad = next(w for w in wires if type(w) is not int or not 0 <= w < width)
+    bad = next(w for w in wires if not 0 <= w < width)
     raise CircuitError(f"wire {bad!r} is not a flat index below {width}")
 
 

@@ -5,15 +5,19 @@ represented by one arbitrary-precision integer whose bit ``s`` is the wire's
 value in sample ``s``, so a CNOT is one XOR and a Toffoli one AND plus one
 XOR across every sample simultaneously.  The state is a list of these
 columns indexed by flat wire index, so a register is a slice of it.
-Exhaustive checks enumerate all operand combinations as stride patterns;
-randomized checks draw each input column directly, since uniform random
-operands are independent uniform bits in every column.
+
+One loader (``_load``) starts every run from the input columns its caller
+gives: one assignment's operand bits, stride patterns over every operand
+combination, or random draws (uniform random operands are independent
+uniform bits).  The list ends at the highest wire that a gate or an input
+touches, and declared bits past it read as 0.
 
 The oracle works on the same columns: a ripple-carry adder written as O(n)
 AND/XOR operations over all samples at once gives the expected final column
-of every register bit.  It shares nothing with the carry-lookahead
-construction, so it is an independent reference, and one operand
-assignment (:func:`expected_state`) is its one-sample case.
+of every register bit, and addition mod ``2^n - 1`` is ``a + b + W`` mod
+``2^n`` with ``W`` the wrapped carry.  It shares nothing with the
+carry-lookahead construction, so it is an independent reference, and one
+operand assignment (:func:`expected_state`) is its one-sample case.
 """
 
 from __future__ import annotations
@@ -28,11 +32,6 @@ from .core import Circuit, CircuitError, GateKind
 
 # ---------------------------------------------------------------------------
 # Column simulation
-
-
-def zero_columns(circuit: Circuit) -> list[int]:
-    """All-zero columns, one per wire, indexed by flat wire index."""
-    return [0] * circuit.layout.total_size
 
 
 def run_columns(circuit: Circuit, cols: list[int], mask: int) -> list[int]:
@@ -173,14 +172,12 @@ def _expected_columns(variant_id: str, n: int, a: Sequence[int],
         s = _ripple(a, [mask ^ x for x in b], mask)
     elif function == "compare":  # a >= b + y: carry of a + ~b + ~y
         s = _ripple(a, [mask ^ x for x in b], mask ^ y)[n:]
-    else:  # add-mersenne: end-around carry, then the representation of zero
-        s = _ripple(a, b, 0)
-        wrapped = s[n]
-        s = _ripple(s[:n], [0] * n, wrapped)[:n]
+    else:  # add-mersenne: a + b + W mod 2^n, W the wrapped carry
+        w = _ripple(a, b, 0)[n]
         zeros = zero_rep == "zeros"
-        if zeros:  # all ones without a wrap is the sum 2^n - 1, i.e. zero
-            kill = _all(s, mask ^ wrapped)
-            s = [x ^ kill for x in s]
+        if zeros:  # a + b = 2^n - 1 is zero too, so it wraps
+            w |= _all([x ^ z for x, z in zip(a, b)], mask)
+        s = _ripple(a, b, w)[:n]
         if in_place:
             # b = 0 and b = 2^n - 1 produce the same sum, so a reversible
             # circuit must separate them somewhere: the non-canonical zero
@@ -215,28 +212,37 @@ def expected_state(variant_id: str, n: int, a: int, b: int,
 # Operand-level interface
 
 
+def _load(circuit: Circuit, variant_id: str,
+          inputs: Iterable[int]) -> list[int]:
+    """The columns before a run: ``inputs`` fill the input registers in
+    :func:`input_registers` order, each LSB first, and every other wire is
+    0.  The list ends at the highest wire that a gate or an input touches."""
+    wires = [w for _, reg in input_registers(variant_id)
+             for w in circuit.layout.indices(reg)]
+    cols = [0] * max(circuit._span, max(wires, default=-1) + 1)
+    for w, c in zip(wires, inputs):
+        cols[w] = c
+    return cols
+
+
+def _read(circuit: Circuit, cols: list[int]) -> dict[str, list[int]]:
+    """Each declared register's columns, LSB first; a bit past the end of
+    ``cols`` is left out, as it reads 0."""
+    offset = circuit.layout.offset
+    return {r.name: cols[offset(r.name):offset(r.name) + r.size]
+            for r in circuit.layout.registers}
+
+
 def run_operands(circuit: Circuit, variant_id: str, a: int, b: int,
                  y: int = 0) -> dict[str, int]:
-    """Run one operand assignment; returns final values per register name.
-
-    The columns end at the highest wire that a gate or an input touches,
-    and a register past that end reads 0: declared bits beyond every
-    touched wire cost nothing.
-    """
-    layout = circuit.layout
+    """Run one operand assignment; returns final values per register name
+    (declared bits that no gate or input touches cost nothing)."""
     ops = {"a": a, "b": b, "y": y}
-    inputs = [(ops[op], layout.indices(reg))
-              for op, reg in input_registers(variant_id)]
-    cols = [0] * max([circuit._span, *(w[-1] + 1 for _, w in inputs if w)])
-    for value, wires in inputs:
-        for i, w in enumerate(wires):
-            cols[w] = (value >> i) & 1
+    bits = [(ops[op] >> i) & 1 for op, reg in input_registers(variant_id)
+            for i in range(circuit.layout[reg].size)]
+    cols = _load(circuit, variant_id, bits)
     run_columns(circuit, cols, 1)
-    out = {}
-    for r in layout.registers:
-        off = layout.offset(r.name)
-        out[r.name] = _sample(cols[off:off + r.size], 0)
-    return out
+    return {reg: _sample(c, 0) for reg, c in _read(circuit, cols).items()}
 
 
 @dataclass(frozen=True)
@@ -259,28 +265,22 @@ class Counterexample:
 
 
 def _check_columns(circuit: Circuit, variant_id: str, n: int,
-                   cols: list[int],
+                   inputs: list[int],
                    nsamples: int) -> Counterexample | None:
-    """Run pre-loaded input columns and diff every wire against the oracle.
+    """Run the input columns (in :func:`input_registers` order, each
+    register LSB first) and diff every register against the oracle.
 
     A mismatch is reported at its lowest failing sample, in the first
     register (in layout order) that fails there.
     """
-    layout = circuit.layout
-
-    def register(name: str) -> list[int]:
-        off = layout.offset(name)
-        return cols[off:off + layout[name].size]
-
     mask = (1 << nsamples) - 1
-    ops = {op: register(reg) for op, reg in input_registers(variant_id)}
-    ops.setdefault("y", [0])
-    expected = _expected_columns(variant_id, n, ops["a"], ops["b"],
-                                 ops["y"][0], mask)
+    a, b, y = inputs[:n], inputs[n:2 * n], inputs[2 * n:] or [0]
+    expected = _expected_columns(variant_id, n, a, b, y[0], mask)
+    cols = _load(circuit, variant_id, inputs)
     run_columns(circuit, cols, mask)
     # every declared register, then any the oracle names that the circuit
     # lacks; a wire the circuit does not declare reads as all zeros
-    got = {r.name: register(r.name) for r in layout.registers}
+    got = _read(circuit, cols)
     got.update((r, []) for r in expected if r not in got)
     bad: dict[str, int] = {}  # per register, the samples where it fails
     failing = 0
@@ -294,9 +294,8 @@ def _check_columns(circuit: Circuit, variant_id: str, n: int,
         return None
     s = (failing & -failing).bit_length() - 1
     reg = next(r for r, diff in bad.items() if (diff >> s) & 1)
-    return Counterexample(variant_id, n, _sample(ops["a"], s),
-                          _sample(ops["b"], s), _sample(ops["y"], s), reg,
-                          _sample(expected.get(reg, []), s),
+    return Counterexample(variant_id, n, *(_sample(c, s) for c in (a, b, y)),
+                          reg, _sample(expected.get(reg, []), s),
                           _sample(got[reg], s))
 
 
@@ -315,18 +314,16 @@ def exhaustive_check(variant_id: str, n: int, *,
     if circuit is None:
         circuit = build_variant(variant_id, n)
     check_inputs(circuit, variant_id, n)
-    pairs = input_registers(variant_id)
-    total_bits = sum(_width(op, n) for op, _ in pairs)
-    nsamples = 1 << total_bits
-    cols = zero_columns(circuit)
+    widths = [_width(op, n) for op, _ in input_registers(variant_id)]
+    off = sum(widths)
+    nsamples = 1 << off
     # sample index s = a concatenated with b concatenated with y, so each
     # operand bit follows a stride pattern
-    off = total_bits
-    for op, reg in pairs:
-        off -= _width(op, n)
-        for j, w in enumerate(circuit.layout.indices(reg)):
-            cols[w] = stride_column(off + j, nsamples)
-    return _check_columns(circuit, variant_id, n, cols, nsamples)
+    inputs: list[int] = []
+    for width in widths:
+        off -= width
+        inputs += [stride_column(off + j, nsamples) for j in range(width)]
+    return _check_columns(circuit, variant_id, n, inputs, nsamples)
 
 
 def random_check(variant_id: str, n: int, samples: int = 1000,
@@ -334,15 +331,13 @@ def random_check(variant_id: str, n: int, samples: int = 1000,
     """Check a batch of uniformly random operands in one column run.
 
     Uniform operands are independent uniform bits, so each input column is
-    drawn directly, one ``samples``-bit integer per wire.
+    drawn directly, one ``samples``-bit integer per input wire.
     """
     if samples < 1:
         raise CircuitError(f"random check needs at least one sample, "
                            f"got {samples}")
     rng = random.Random(seed)
     circuit = build_variant(variant_id, n)
-    cols = zero_columns(circuit)
-    for _, reg in input_registers(variant_id):
-        for w in circuit.layout.indices(reg):
-            cols[w] = rng.getrandbits(samples)
-    return _check_columns(circuit, variant_id, n, cols, samples)
+    wires = sum(_width(op, n) for op, _ in input_registers(variant_id))
+    inputs = [rng.getrandbits(samples) for _ in range(wires)]
+    return _check_columns(circuit, variant_id, n, inputs, samples)

@@ -11,7 +11,7 @@ import qcla.formulas
 from qcla import CircuitError, build_variant, emit_native, verify_family
 from qcla.adders import VARIANTS, request_for
 from qcla.core import Circuit, GateKind
-from qcla.sim import run_columns, stride_column, zero_columns
+from qcla.sim import run_columns, stride_column
 
 # width grid used by the resource checks: dense through 64, then powers of two
 GRID = list(range(7, 65)) + [128, 256, 512, 1024]
@@ -94,7 +94,7 @@ def gc_boundary_ok(n: int) -> bool:
     nsamples = 1 << (2 * n)
     g_col = [stride_column(t, nsamples) for t in range(n)]
     p_col = [stride_column(n + t, nsamples) for t in range(n)]
-    cols = zero_columns(circuit)
+    cols = [0] * circuit.layout.total_size
     Z, B = circuit.layout.indices("Z"), circuit.layout.indices("B")
     for t in range(n):
         cols[Z[t]] = g_col[t]

@@ -25,7 +25,7 @@ from qcla.core import (
     Role,
 )
 from qcla.formulas import popcount
-from qcla.sim import columns_to_values, run_columns, stride_column, zero_columns
+from qcla.sim import columns_to_values, run_columns, stride_column
 from qcla.textfmt import ParseError
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def invert(circuit: Circuit) -> Circuit:
 def run_state(circuit: Circuit, values: Mapping[int, int]) -> list[int]:
     """Run a single sample given the bit of some flat wires (the others are
     0); returns every wire's final bit, by flat index."""
-    cols = zero_columns(circuit)
+    cols = [0] * circuit.layout.total_size
     for w, v in values.items():
         cols[w] = v & 1
     return run_columns(circuit, cols, 1)

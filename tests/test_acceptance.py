@@ -25,7 +25,7 @@ from qcla import build_variant, exhaustive_check, random_check
 from qcla.adders import VARIANTS
 from qcla.carry import ceil_log2, floor_log2
 from qcla.formulas import popcount
-from qcla.sim import run_columns, stride_column, zero_columns
+from qcla.sim import run_columns, stride_column
 
 from helpers import (
     STATUSES,
@@ -165,7 +165,7 @@ def _compare_constant_propagation_ok(n: int) -> bool:
     mask = (1 << nsamples) - 1
 
     def run(circuit):
-        cols = zero_columns(padded)
+        cols = [0] * padded.layout.total_size
         for t in range(n):
             cols[A[t]] = stride_column(t, nsamples)
             cols[B[t]] = stride_column(n + t, nsamples)

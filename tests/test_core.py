@@ -95,19 +95,31 @@ def test_circuit_rejects_foreign_wires_and_bad_barriers():
         Circuit(layout, [not_(0)], [Barrier(5, "P")])
 
 
+# each element is (maker, *args), made inside the check: a wire that is no
+# int is refused when its gate is made, the rest when the circuit is
 @pytest.mark.parametrize("gates,fragment", [
-    ([(GateKind.NOT, (), 0, None)], "is not a Gate"),  # equal, not a Gate
-    ([not_(0), "not W[1]"], "is not a Gate"),
-    ([cnot(0, 1), not_(1.5)], "wire 1.5 is not a flat index"),
-    ([cnot(0, 2), not_(True)], "wire True is not a flat index"),
-    ([cnot(0, "1")], "wire '1' is not a flat index"),
-    ([not_(-1)], "wire -1 is not a flat index below 3"),
-    ([cnot(0, 1), ccx(0, 1, 3)], "wire 3 is not a flat index below 3"),
+    ([(tuple, (GateKind.NOT, (), 0, None))], "is not a Gate"),  # equal
+    ([(not_, 0), (str, "not W[1]")], "is not a Gate"),
+    ([(cnot, 0, 1), (not_, 1.5)], "wire 1.5 is not a flat index"),
+    ([(cnot, 0, 2), (not_, True)], "wire True is not a flat index"),
+    ([(cnot, 0, "1")], "wire '1' is not a flat index"),
+    ([(not_, -1)], "wire -1 is not a flat index below 3"),
+    ([(cnot, 0, 1), (ccx, 0, 1, 3)], "wire 3 is not a flat index below 3"),
 ])
 def test_circuit_rejects_a_non_gate_and_a_wire_outside_the_layout(gates,
                                                                  fragment):
     with pytest.raises(CircuitError, match=fragment):
-        Circuit(small_layout(3), gates)
+        Circuit(small_layout(3), [make(*args) for make, *args in gates])
+
+
+def test_gate_wires_must_be_ints():
+    # 1.0 == 1, so a set pass over distinct wires could keep 1 and lose it
+    made = [lambda: not_(1.0), lambda: cnot(True, 2), lambda: ccx(0, 1, 2.0),
+            lambda: Gate(GateKind.NOT, (), 1.0),
+            lambda: Gate(GateKind.TOFFOLI, (0, False), 2)]
+    for make in made:
+        with pytest.raises(CircuitError, match="not int"):
+            make()
 
 
 # ---------------------------------------------------------------------------

@@ -149,19 +149,22 @@ def test_run_operands_examples():
 def test_run_operands_memory_follows_the_registers_not_their_bits():
     # each register was once read back through a list of its wire indices
     # (a 54 MiB peak here), and the columns once covered every declared
-    # bit (24 MiB)
+    # bit (24 MiB for run_operands, 15 MiB for exhaustive_check)
     base = build_variant("add-oop", 4)
     wide = Circuit(RegisterLayout([*base.layout.registers,
                                    Register("W", 1_000_000, Role.ANCILLA)]),
                    base.gates)
-    tracemalloc.start()
-    try:
-        out = run_operands(wide, "add-oop", 5, 7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out == {**run_operands(base, "add-oop", 5, 7), "W": 0}
-    assert peak < 1 << 20
+    out, peaks = [], []
+    for run in (lambda: run_operands(wide, "add-oop", 5, 7),
+                lambda: exhaustive_check("add-oop", 4, circuit=wide)):
+        tracemalloc.start()
+        try:
+            out.append(run())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert out == [{**run_operands(base, "add-oop", 5, 7), "W": 0}, None]
+    assert max(peaks) < 1 << 20, peaks
 
 
 def test_exhaustive_guard():
