@@ -30,8 +30,9 @@ Three shared pieces build the adders:
   complemented sum, so it uncomputes the carries the first one wrote.
 
 One table, ``_VARIANTS``, maps every variant id (the bare carry network of
-``carry.py`` too) to its ``AdderRequest`` fields and its builder from ``n``:
-``build`` is one lookup, and ``build_variant(id, n)`` is
+``carry.py`` too) to its ``AdderRequest`` fields and its builder from ``n``.
+A request is valid when its fields other than ``n`` form a row of the
+table; ``build`` is one lookup, and ``build_variant(id, n)`` is
 ``build(request_for(id, n))``.
 """
 
@@ -60,7 +61,6 @@ from .core import (
     Role,
     ccx,
     cnot,
-    gate_lightcone,
     levelize,
     not_,
     retag,
@@ -68,7 +68,6 @@ from .core import (
 
 FUNCTIONS = ("add", "add-mod2n", "add-mersenne", "subtract", "compare",
              "carry-network")
-ZERO_REPS = ("ones", "zeros")
 
 
 @dataclass(frozen=True)
@@ -85,32 +84,32 @@ class AdderRequest:
     def __post_init__(self) -> None:
         if self.function not in FUNCTIONS:
             raise CircuitError(f"unknown function {self.function!r}")
-        if self.function == "carry-network" and (
-                self.in_place or self.incoming_carry
-                or self.zero_rep is not None):
-            raise CircuitError("carry-network takes no variant flags")
+        if self._row not in _IDS:
+            *rest, last = [_as_flags(*row[1:]) for row in _IDS
+                           if row[0] == self.function]
+            rows = f"{', '.join(rest)} or {last}" if rest else last
+            raise CircuitError(f"{self.function} takes {rows}")
         min_n = {"compare": 2, "add-mersenne": 2}.get(self.function, 1)
         if self.n < min_n:
             raise CircuitError(
                 f"{self.function} requires n >= {min_n}, got {self.n}")
-        if self.function == "add-mersenne":
-            if self.zero_rep not in ZERO_REPS:
-                raise CircuitError(
-                    "add-mersenne requires zero_rep 'ones' or 'zeros'")
-            if self.incoming_carry:
-                raise CircuitError("add-mersenne has no incoming-carry form")
-        elif self.zero_rep is not None:
-            raise CircuitError("zero_rep is only meaningful for add-mersenne")
-        if self.function == "compare" and self.in_place:
-            raise CircuitError("compare has no in-place form")
-        if self.function == "subtract" and self.incoming_carry:
-            raise CircuitError("subtract has no incoming-carry form")
+
+    @property
+    def _row(self) -> tuple[str, bool, bool, str | None]:
+        return (self.function, self.in_place, self.incoming_carry,
+                self.zero_rep)
 
     @property
     def variant_id(self) -> str:
-        fields = (self.function, self.in_place, self.incoming_carry,
-                  self.zero_rep)
-        return next(vid for vid, (f, _) in _VARIANTS.items() if f == fields)
+        return _IDS[self._row]
+
+
+def _as_flags(in_place: bool, incoming_carry: bool,
+              zero_rep: str | None) -> str:
+    """A row's variant fields as ``qcla gen`` flags."""
+    flags = ["--in-place"] * in_place + ["--incoming-carry"] * incoming_carry
+    flags += [f"--zero-rep {zero_rep}"] * (zero_rep is not None)
+    return " ".join(flags) or "no variant flags"
 
 
 def _seal(copies: list[Gate], block: list[Gate]) -> tuple[list[Gate], list[Gate]]:
@@ -325,11 +324,12 @@ def _compare(n: int,
              incoming_carry: bool) -> tuple[RegisterLayout, list[Gate]]:
     """``Z[0] = [a >= b + y]`` with all other registers preserved.
 
-    Complements ``A``, runs the carry tree padded to the next power of two
-    (padding folded away at generation time), keeps only the light cone of
-    the top carry in the G-rounds, undoes the non-output G-round gates, and
-    uncomputes everything else.  With an incoming carry the width-``n+1``
-    doubled-operand form is used; position 1's carry wire is ``Y`` itself.
+    Complements ``A``, runs the P- and G-rounds of the carry tree padded to
+    the next power of two (padding folded away at generation time), all on
+    the top carry's path, undoes the G-round gates that write other carries,
+    and uncomputes everything else.  With an incoming carry the
+    width-``n+1`` doubled-operand form is used; position 1's carry wire is
+    ``Y`` itself.
     """
     m = n + int(incoming_carry)  # carry positions 1..m
     layout = _layout(n, 1, n - 1 + len(padded_cells(m)), incoming_carry)
@@ -342,12 +342,10 @@ def _compare(n: int,
     gates += [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, m)]
     gates += [cnot(aw(i), bw(i), "init") for i in range(1, m)]
     p_fw = rounds.p_gates()
-    g_all = rounds.g_gates()
-    sink = rounds.carry0_wire
-    cone = gate_lightcone(g_all, sink)
-    g_cone = [g for i, g in enumerate(g_all) if i in cone]
-    gates += levelize(p_fw + g_cone)
-    un_g = retag((g for g in reversed(g_cone) if g.target != sink), "fixup")
+    g_fw = rounds.g_gates()
+    gates += levelize(p_fw + g_fw)
+    top = rounds.carry0_wire
+    un_g = retag((g for g in reversed(g_fw) if g.target != top), "fixup")
     p_bw = retag(reversed(p_fw), "Pinv")
     gates += levelize(un_g + p_bw)
     fix = [cnot(aw(i), bw(i), "fixup") for i in range(1, m)]
@@ -480,6 +478,8 @@ _VARIANTS: dict[str, tuple[tuple[str, bool, bool, str | None],
 }
 
 VARIANTS = tuple(_VARIANTS)
+# AdderRequest fields but the width -> variant id
+_IDS = {fields: vid for vid, (fields, _) in _VARIANTS.items()}
 
 
 def variant_fields(variant_id: str) -> tuple[str, bool, bool, str | None]:

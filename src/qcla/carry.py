@@ -176,16 +176,13 @@ class PaddedRounds:
 
     def p_gates(self) -> list[Gate]:
         gates = []
-        for t in range(1, self.k):
-            for m in range(0 if self.wrap else 1, self.N >> t):
-                if (t, m) not in self.slots:
-                    continue
-                lo = self.resolve_p(t - 1, 2 * m)
-                hi = self.resolve_p(t - 1, 2 * m + 1)
-                if lo is _CONST1 or hi is _CONST1:
-                    raise InternalConsistencyError(
-                        "constant operand for a materialized interval slot")
-                gates.append(ccx(lo, hi, self.slots[(t, m)], "P"))
+        for (t, m), wire in self.slots.items():
+            lo = self.resolve_p(t - 1, 2 * m)
+            hi = self.resolve_p(t - 1, 2 * m + 1)
+            if lo is _CONST1 or hi is _CONST1:
+                raise InternalConsistencyError(
+                    "constant operand for a materialized interval slot")
+            gates.append(ccx(lo, hi, wire, "P"))
         return gates
 
     def full_prefix_propagate(self) -> tuple[int | object, int | object]:

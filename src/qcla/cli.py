@@ -139,15 +139,12 @@ def cmd_sim(args: argparse.Namespace) -> int:
         print(f"error: {vid} has no carry-in, so --y must be 0",
               file=sys.stderr)
         return EXIT_USAGE
-    limit = 1 << n
-    for name, value in (("a", args.a), ("b", args.b), ("y", args.y)):
-        top = 2 if name == "y" else limit
-        if not 0 <= value < top:
-            print(f"error: operand {name}={value} out of range [0, {top})",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    actual = run_operands(circuit, vid, args.a, args.b, args.y)
-    expected = expected_state(vid, n, args.a, args.b, args.y)
+    try:
+        actual = run_operands(circuit, vid, args.a, args.b, args.y)
+        expected = expected_state(vid, n, args.a, args.b, args.y)
+    except CircuitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     sizes = {r.name: r.size for r in circuit.layout.registers}
 
     # every register the oracle names, then any other the file declares;

@@ -7,7 +7,6 @@ named registers.  The module provides:
 * ``schedule_asap`` -- greedy in-order wire-disjoint slicing (depth)
 * ``levelize`` -- dependency-level gate ordering for maximal packing
 * ``resource_report`` -- gate counts, depth, ancilla tally
-* ``gate_lightcone`` -- backward cone of influence of a single wire
 
 A wire is a plain ``int``: its flat position in the ``RegisterLayout`` (the
 register's offset plus the bit index).  A ``Gate`` is an immutable
@@ -397,19 +396,3 @@ def resource_report(circuit: Circuit) -> ResourceReport:
         width=circuit.layout.total_size,
     )
 
-
-def gate_lightcone(gates: Sequence[Gate], sink: int) -> set[int]:
-    """Indices of ``gates`` that can influence the final value of the flat
-    wire ``sink``.
-
-    Walks the gate list backwards, marking gates that write a marked wire and
-    then marking their control wires.
-    """
-    marked = {sink}
-    cone: set[int] = set()
-    for i in range(len(gates) - 1, -1, -1):
-        _, controls, target, _ = gates[i]
-        if target in marked:
-            cone.add(i)
-            marked.update(controls)
-    return cone

@@ -37,17 +37,6 @@ def log_third(n: int) -> int:
     return floor_log2(n // 3) if n >= 3 else n - 3
 
 
-@dataclass(frozen=True)
-class FormulaSet:
-    """The closed forms of one variant."""
-
-    toffoli: Callable[[int], int]
-    cnot: Callable[[int], int]
-    nots: Callable[[int], int]
-    ancilla: Callable[[int], int]
-    depth: Callable[[int], int]
-
-
 def _k(n: int) -> int:
     return floor_log2(n)
 
@@ -56,127 +45,128 @@ def _w(n: int) -> int:
     return popcount(n)
 
 
-FORMULAS: dict[str, FormulaSet] = {
-    "carry-network": FormulaSet(
-        toffoli=lambda n: 4 * n - 3 * _w(n) - 3 * _k(n) - 1,
-        cnot=lambda n: 0,
-        nots=lambda n: 0,
-        ancilla=lambda n: n - _w(n) - _k(n),
-        depth=lambda n: _k(n) + log_third(n) + 3,
-    ),
-    "add-oop": FormulaSet(
-        toffoli=lambda n: 5 * n - 3 * _w(n) - 3 * _k(n) - 1,
-        cnot=lambda n: 3 * n - 1,
-        nots=lambda n: 0,
-        ancilla=lambda n: n - _w(n) - _k(n),
-        depth=lambda n: _k(n) + log_third(n) + 4,
-    ),
-    "add-oop-ic": FormulaSet(
-        toffoli=lambda n: 5 * n - 3 * _w(n + 1) - 3 * _k(n + 1) + 3,
-        cnot=lambda n: 3 * n + 1,
-        nots=lambda n: 0,
-        ancilla=lambda n: (n + 1) - _w(n + 1) - _k(n + 1),
-        depth=lambda n: _k(n + 1) + log_third(n + 1) + 4,
-    ),
-    "add-ip": FormulaSet(
-        toffoli=lambda n: (10 * n - 3 * _w(n) - 3 * _w(n - 1)
-                           - 3 * _k(n) - 3 * _k(n - 1) - 7),
-        cnot=lambda n: 4 * n - 5,
-        nots=lambda n: 2 * n - 2,
-        ancilla=lambda n: 2 * n - _w(n) - _k(n) - 1,
-        depth=lambda n: (_k(n) + _k(n - 1) + log_third(n)
-                         + log_third(n - 1) + 8),
-    ),
-    "add-ip-ic": FormulaSet(
-        toffoli=lambda n: (10 * n - 3 * _w(n) - 3 * _w(n + 1)
-                           - 3 * _k(n) - 3 * _k(n + 1) + 1),
-        cnot=lambda n: 4 * n - 2,
-        nots=lambda n: 2 * n - 2,
-        ancilla=lambda n: 2 * n - _w(n + 1) - _k(n + 1),
-        depth=lambda n: (_k(n) + _k(n + 1) + log_third(n)
-                         + log_third(n + 1) + 8),
-    ),
-    "add-mod2n-oop": FormulaSet(
-        toffoli=lambda n: 5 * n - 3 * _w(n - 1) - 3 * _k(n - 1) - 6,
-        cnot=lambda n: 3 * n - 2,
-        nots=lambda n: 0,
-        ancilla=lambda n: (n - 1) - _w(n - 1) - _k(n - 1),
-        depth=lambda n: _k(n - 1) + log_third(n - 1) + 4,
-    ),
-    "add-mod2n-oop-ic": FormulaSet(
-        toffoli=lambda n: 5 * n - 3 * _w(n) - 3 * _k(n) - 2,
-        cnot=lambda n: 3 * n,
-        nots=lambda n: 0,
-        ancilla=lambda n: n - _w(n) - _k(n),
-        depth=lambda n: _k(n) + log_third(n) + 4,
-    ),
-    "add-mod2n-ip": FormulaSet(
-        toffoli=lambda n: 10 * n - 6 * _w(n - 1) - 6 * _k(n - 1) - 12,
-        cnot=lambda n: 4 * n - 5,
-        nots=lambda n: 2 * n - 2,
-        ancilla=lambda n: 2 * n - 2 - _w(n - 1) - _k(n - 1),
-        depth=lambda n: 2 * _k(n - 1) + 2 * log_third(n - 1) + 8,
-    ),
-    "add-mod2n-ip-ic": FormulaSet(
-        toffoli=lambda n: 10 * n - 6 * _w(n) - 6 * _k(n) - 4,
-        cnot=lambda n: 4 * n - 2,
-        nots=lambda n: 2 * n - 2,
-        ancilla=lambda n: 2 * n - _w(n) - _k(n) - 1,
-        depth=lambda n: 2 * _k(n) + 2 * log_third(n) + 8,
-    ),
-    "sub-oop": FormulaSet(
-        toffoli=lambda n: 5 * n - 3 * _w(n) - 3 * _k(n) - 1,
-        cnot=lambda n: 3 * n - 1,
-        nots=lambda n: 3 * n + 1,
-        ancilla=lambda n: n - _w(n) - _k(n),
-        depth=lambda n: _k(n) + log_third(n) + 4,
-    ),
-    "sub-ip": FormulaSet(
-        toffoli=lambda n: (10 * n - 3 * _w(n) - 3 * _w(n - 1)
-                           - 3 * _k(n) - 3 * _k(n - 1) - 7),
-        cnot=lambda n: 4 * n - 5,
-        nots=lambda n: 5 * n - 1,
-        ancilla=lambda n: 2 * n - _w(n) - _k(n) - 1,
-        depth=lambda n: (_k(n) + _k(n - 1) + log_third(n)
-                         + log_third(n - 1) + 8),
-    ),
-    "compare": FormulaSet(
-        toffoli=lambda n: 6 * n - _w(n - 1) - 2 * _k(n - 1) - 7,
-        cnot=lambda n: 2 * n - 2,
-        nots=lambda n: 2 * n + 1,
-        ancilla=lambda n: 2 * n - _k(n - 1) - 3,
-        depth=lambda n: 2 * _k(n - 1) + 5,
-    ),
-    "compare-ic": FormulaSet(
-        toffoli=lambda n: 6 * n - _w(n) - 2 * _k(n) - 3,
-        cnot=lambda n: 2 * n,
-        nots=lambda n: 2 * n + 1,
-        ancilla=lambda n: 2 * n - _k(n) - 2,
-        depth=lambda n: 2 * _k(n) + 5,
-    ),
-    "mersenne-oop-ones": FormulaSet(
-        toffoli=lambda n: 5 * n - 6,
-        cnot=lambda n: 3 * n,
-        nots=lambda n: 0,
-        ancilla=lambda n: n - 2,
-        depth=lambda n: 2 * _k(n - 1) + 5,
-    ),
-    "mersenne-oop-zeros": FormulaSet(
-        toffoli=lambda n: 5 * n - 5,
-        cnot=lambda n: 3 * n,
-        nots=lambda n: 0,
-        ancilla=lambda n: n - 2,
-        depth=lambda n: _k(n - 1) + log_third(n - 1) + 7,
-    ),
+# variant id -> resource -> closed form, in formula_eval's key order
+FORMULAS: dict[str, dict[str, Callable[[int], int]]] = {
+    "carry-network": {
+        "toffoli": lambda n: 4 * n - 3 * _w(n) - 3 * _k(n) - 1,
+        "cnot": lambda n: 0,
+        "not": lambda n: 0,
+        "ancilla": lambda n: n - _w(n) - _k(n),
+        "depth": lambda n: _k(n) + log_third(n) + 3,
+    },
+    "add-oop": {
+        "toffoli": lambda n: 5 * n - 3 * _w(n) - 3 * _k(n) - 1,
+        "cnot": lambda n: 3 * n - 1,
+        "not": lambda n: 0,
+        "ancilla": lambda n: n - _w(n) - _k(n),
+        "depth": lambda n: _k(n) + log_third(n) + 4,
+    },
+    "add-oop-ic": {
+        "toffoli": lambda n: 5 * n - 3 * _w(n + 1) - 3 * _k(n + 1) + 3,
+        "cnot": lambda n: 3 * n + 1,
+        "not": lambda n: 0,
+        "ancilla": lambda n: (n + 1) - _w(n + 1) - _k(n + 1),
+        "depth": lambda n: _k(n + 1) + log_third(n + 1) + 4,
+    },
+    "add-ip": {
+        "toffoli": lambda n: (10 * n - 3 * _w(n) - 3 * _w(n - 1)
+                              - 3 * _k(n) - 3 * _k(n - 1) - 7),
+        "cnot": lambda n: 4 * n - 5,
+        "not": lambda n: 2 * n - 2,
+        "ancilla": lambda n: 2 * n - _w(n) - _k(n) - 1,
+        "depth": lambda n: (_k(n) + _k(n - 1) + log_third(n)
+                            + log_third(n - 1) + 8),
+    },
+    "add-ip-ic": {
+        "toffoli": lambda n: (10 * n - 3 * _w(n) - 3 * _w(n + 1)
+                              - 3 * _k(n) - 3 * _k(n + 1) + 1),
+        "cnot": lambda n: 4 * n - 2,
+        "not": lambda n: 2 * n - 2,
+        "ancilla": lambda n: 2 * n - _w(n + 1) - _k(n + 1),
+        "depth": lambda n: (_k(n) + _k(n + 1) + log_third(n)
+                            + log_third(n + 1) + 8),
+    },
+    "add-mod2n-oop": {
+        "toffoli": lambda n: 5 * n - 3 * _w(n - 1) - 3 * _k(n - 1) - 6,
+        "cnot": lambda n: 3 * n - 2,
+        "not": lambda n: 0,
+        "ancilla": lambda n: (n - 1) - _w(n - 1) - _k(n - 1),
+        "depth": lambda n: _k(n - 1) + log_third(n - 1) + 4,
+    },
+    "add-mod2n-oop-ic": {
+        "toffoli": lambda n: 5 * n - 3 * _w(n) - 3 * _k(n) - 2,
+        "cnot": lambda n: 3 * n,
+        "not": lambda n: 0,
+        "ancilla": lambda n: n - _w(n) - _k(n),
+        "depth": lambda n: _k(n) + log_third(n) + 4,
+    },
+    "add-mod2n-ip": {
+        "toffoli": lambda n: 10 * n - 6 * _w(n - 1) - 6 * _k(n - 1) - 12,
+        "cnot": lambda n: 4 * n - 5,
+        "not": lambda n: 2 * n - 2,
+        "ancilla": lambda n: 2 * n - 2 - _w(n - 1) - _k(n - 1),
+        "depth": lambda n: 2 * _k(n - 1) + 2 * log_third(n - 1) + 8,
+    },
+    "add-mod2n-ip-ic": {
+        "toffoli": lambda n: 10 * n - 6 * _w(n) - 6 * _k(n) - 4,
+        "cnot": lambda n: 4 * n - 2,
+        "not": lambda n: 2 * n - 2,
+        "ancilla": lambda n: 2 * n - _w(n) - _k(n) - 1,
+        "depth": lambda n: 2 * _k(n) + 2 * log_third(n) + 8,
+    },
+    "sub-oop": {
+        "toffoli": lambda n: 5 * n - 3 * _w(n) - 3 * _k(n) - 1,
+        "cnot": lambda n: 3 * n - 1,
+        "not": lambda n: 3 * n + 1,
+        "ancilla": lambda n: n - _w(n) - _k(n),
+        "depth": lambda n: _k(n) + log_third(n) + 4,
+    },
+    "sub-ip": {
+        "toffoli": lambda n: (10 * n - 3 * _w(n) - 3 * _w(n - 1)
+                              - 3 * _k(n) - 3 * _k(n - 1) - 7),
+        "cnot": lambda n: 4 * n - 5,
+        "not": lambda n: 5 * n - 1,
+        "ancilla": lambda n: 2 * n - _w(n) - _k(n) - 1,
+        "depth": lambda n: (_k(n) + _k(n - 1) + log_third(n)
+                            + log_third(n - 1) + 8),
+    },
+    "compare": {
+        "toffoli": lambda n: 6 * n - _w(n - 1) - 2 * _k(n - 1) - 7,
+        "cnot": lambda n: 2 * n - 2,
+        "not": lambda n: 2 * n + 1,
+        "ancilla": lambda n: 2 * n - _k(n - 1) - 3,
+        "depth": lambda n: 2 * _k(n - 1) + 5,
+    },
+    "compare-ic": {
+        "toffoli": lambda n: 6 * n - _w(n) - 2 * _k(n) - 3,
+        "cnot": lambda n: 2 * n,
+        "not": lambda n: 2 * n + 1,
+        "ancilla": lambda n: 2 * n - _k(n) - 2,
+        "depth": lambda n: 2 * _k(n) + 5,
+    },
+    "mersenne-oop-ones": {
+        "toffoli": lambda n: 5 * n - 6,
+        "cnot": lambda n: 3 * n,
+        "not": lambda n: 0,
+        "ancilla": lambda n: n - 2,
+        "depth": lambda n: 2 * _k(n - 1) + 5,
+    },
+    "mersenne-oop-zeros": {
+        "toffoli": lambda n: 5 * n - 5,
+        "cnot": lambda n: 3 * n,
+        "not": lambda n: 0,
+        "ancilla": lambda n: n - 2,
+        "depth": lambda n: _k(n - 1) + log_third(n - 1) + 7,
+    },
 }
 
-_MERSENNE_IP = FormulaSet(
-    toffoli=lambda n: 10 * n - 11,
-    cnot=lambda n: 4 * n,
-    nots=lambda n: 2 * n,
-    ancilla=lambda n: 2 * n - 2,
-    depth=lambda n: 3 * _k(n - 1) + log_third(n - 1) + 12,
-)
+_MERSENNE_IP = {
+    "toffoli": lambda n: 10 * n - 11,
+    "cnot": lambda n: 4 * n,
+    "not": lambda n: 2 * n,
+    "ancilla": lambda n: 2 * n - 2,
+    "depth": lambda n: 3 * _k(n - 1) + log_third(n - 1) + 12,
+}
 FORMULAS["mersenne-ip-ones"] = _MERSENNE_IP
 FORMULAS["mersenne-ip-zeros"] = _MERSENNE_IP
 
@@ -187,15 +177,8 @@ def formula_eval(variant_id: str, n: int) -> dict[str, int]:
     """Every closed form of one variant at width ``n``."""
     if variant_id not in FORMULAS:
         raise CircuitError(f"unknown variant {variant_id!r}")
-    f = FORMULAS[variant_id]
     try:
-        return {
-            "toffoli": f.toffoli(n),
-            "cnot": f.cnot(n),
-            "not": f.nots(n),
-            "ancilla": f.ancilla(n),
-            "depth": f.depth(n),
-        }
+        return {key: f(n) for key, f in FORMULAS[variant_id].items()}
     except CircuitError as exc:
         raise CircuitError(
             f"{variant_id} has no closed form at n={n}: {exc}") from None

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Iterable, Sequence
+from itertools import chain, zip_longest
+from typing import Iterable, Iterator, Sequence
 
 from .adders import build_variant, variant_fields
 from .core import Circuit, CircuitError, GateKind
@@ -124,6 +124,28 @@ def check_inputs(circuit: Circuit, variant_id: str, n: int) -> None:
                                f"the circuit declares {reg}[{size}]")
 
 
+def _operand_bits(variant_id: str, n: int, a: int, b: int,
+                  y: int) -> list[int]:
+    """Input bits in :func:`input_registers` order, LSB first; raises
+    :class:`CircuitError` unless ``a``, ``b`` fit in ``n`` bits, ``y`` in
+    one."""
+    ops = {"a": a, "b": b, "y": y}
+    for op, value in ops.items():
+        top = 1 << _width(op, n)
+        if not 0 <= value < top:
+            raise CircuitError(f"operand {op}={value} out of range [0, {top})")
+    return [(ops[op] >> i) & 1 for op, _ in input_registers(variant_id)
+            for i in range(_width(op, n))]
+
+
+def _carries(g: Sequence[int], p: Sequence[int], c: int) -> Iterator[int]:
+    """Yield each position's carry-out column, ``c = g ^ (p & c)`` from
+    carry-in column ``c``; no pass holds every carry."""
+    for gi, pi in zip(g, p):
+        c = gi ^ (pi & c)
+        yield c
+
+
 def _ripple(a: Sequence[int], b: Sequence[int], c: int) -> list[int]:
     """Columns of ``a + b + c`` over ``len(a) + 1`` bits (``c`` is one
     column): a ripple-carry adder, carry-out last."""
@@ -154,11 +176,7 @@ def _expected_columns(variant_id: str, n: int, a: Sequence[int],
     """
     function, in_place, incoming_carry, zero_rep = variant_fields(variant_id)
     if function == "carry-network":
-        c, carries = 0, []
-        for g, p in zip(a, b):
-            c = g ^ (p & c)
-            carries.append(c)
-        return {"B": list(b), "Z": carries, "X": []}
+        return {"B": list(b), "Z": list(_carries(a, b, 0)), "X": []}
     out = {"A": list(a), "X": []}
     if incoming_carry:
         out["Y"] = [y]
@@ -173,11 +191,14 @@ def _expected_columns(variant_id: str, n: int, a: Sequence[int],
     elif function == "compare":  # a >= b + y: carry of a + ~b + ~y
         s = _ripple(a, [mask ^ x for x in b], mask ^ y)[n:]
     else:  # add-mersenne: a + b + W mod 2^n, W the wrapped carry
-        w = _ripple(a, b, 0)[n]
+        p = [x ^ z for x, z in zip(a, b)]
+        g = [x & z for x, z in zip(a, b)]
+        for w in _carries(g, p, 0):
+            pass  # W is the carry out of the top position
         zeros = zero_rep == "zeros"
         if zeros:  # a + b = 2^n - 1 is zero too, so it wraps
-            w |= _all([x ^ z for x, z in zip(a, b)], mask)
-        s = _ripple(a, b, w)[:n]
+            w |= _all(p, mask)
+        s = [x ^ c for x, c in zip(p, chain([w], _carries(g, p, w)))]
         if in_place:
             # b = 0 and b = 2^n - 1 produce the same sum, so a reversible
             # circuit must separate them somewhere: the non-canonical zero
@@ -201,10 +222,12 @@ def expected_state(variant_id: str, n: int, a: int, b: int,
 
     For ``carry-network`` the parameters are reinterpreted: ``a`` is the
     per-position generate string (loaded into ``Z``) and ``b`` the
-    per-position propagate string (loaded into ``B``).
+    per-position propagate string (loaded into ``B``).  Raises
+    :class:`CircuitError` unless ``a`` and ``b`` fit in ``n`` bits and
+    ``y`` in one; ``y`` is ignored without a carry-in.
     """
-    cols = _expected_columns(variant_id, n, [(a >> i) & 1 for i in range(n)],
-                             [(b >> i) & 1 for i in range(n)], y & 1, 1)
+    bits = _operand_bits(variant_id, n, a, b, y)
+    cols = _expected_columns(variant_id, n, bits[:n], bits[n:2 * n], y, 1)
     return {reg: _sample(c, 0) for reg, c in cols.items()}
 
 
@@ -236,11 +259,13 @@ def _read(circuit: Circuit, cols: list[int]) -> dict[str, list[int]]:
 def run_operands(circuit: Circuit, variant_id: str, a: int, b: int,
                  y: int = 0) -> dict[str, int]:
     """Run one operand assignment; returns final values per register name
-    (declared bits that no gate or input touches cost nothing)."""
-    ops = {"a": a, "b": b, "y": y}
-    bits = [(ops[op] >> i) & 1 for op, reg in input_registers(variant_id)
-            for i in range(circuit.layout[reg].size)]
-    cols = _load(circuit, variant_id, bits)
+    (declared bits that no gate or input touches cost nothing).  ``n`` is
+    the size of ``B``, where every variant loads ``b``; raises
+    :class:`CircuitError` as :func:`check_inputs` and :func:`expected_state`
+    do."""
+    n = circuit.layout["B"].size if "B" in circuit.layout else 0
+    check_inputs(circuit, variant_id, n)
+    cols = _load(circuit, variant_id, _operand_bits(variant_id, n, a, b, y))
     run_columns(circuit, cols, 1)
     return {reg: _sample(c, 0) for reg, c in _read(circuit, cols).items()}
 

@@ -3,7 +3,8 @@
 No generator, simulator path or command of qcla needs these; the tests use
 them to check properties of the circuits qcla builds: reversibility, that
 they permute the basis, the comparator's agreement with its constant-
-propagated padded form, and the carry-status algebra the trees rest on.
+propagated padded form, the carry-status algebra the trees rest on, and
+the light cone of a wire.
 ``reference_parse_native`` is the plain line-by-line parser that
 ``qcla.textfmt.parse_native`` must agree with, error for error.
 """
@@ -11,7 +12,7 @@ propagated padded form, and the carry-status algebra the trees rest on.
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from qcla.core import (
     Barrier,
@@ -95,6 +96,23 @@ def permutation_check(circuit: Circuit) -> bool:
     run_columns(circuit, cols, (1 << nsamples) - 1)
     states = columns_to_values(cols, nsamples)
     return len(set(states)) == nsamples
+
+
+def gate_lightcone(gates: Sequence[Gate], sink: int) -> set[int]:
+    """Indices of ``gates`` that can influence the final value of the flat
+    wire ``sink``.
+
+    Walks the gate list backwards, marking gates that write a marked wire and
+    then marking their control wires.
+    """
+    marked = {sink}
+    cone: set[int] = set()
+    for i in range(len(gates) - 1, -1, -1):
+        _, controls, target, _ = gates[i]
+        if target in marked:
+            cone.add(i)
+            marked.update(controls)
+    return cone
 
 
 def constant_propagate(circuit: Circuit,

@@ -1,5 +1,7 @@
 """Adder, subtractor, and comparator generators: contracts and structure."""
 
+from itertools import product
+
 import pytest
 
 import qcla.core
@@ -11,7 +13,7 @@ from qcla import (
     request_for,
     resource_report,
 )
-from qcla.adders import VARIANTS, _mersenne_rounds
+from qcla.adders import FUNCTIONS, VARIANTS, _mersenne_rounds, variant_fields
 from qcla.carry import PaddedRounds
 from qcla.core import (
     Circuit,
@@ -48,6 +50,34 @@ def test_unknown_function_rejected():
 def test_invalid_requests_rejected(kwargs):
     with pytest.raises(CircuitError):
         AdderRequest(**kwargs)
+
+
+def test_requests_are_the_rows_of_the_variant_table():
+    # 6 functions x in_place x incoming_carry x 3 zero_reps = 72 requests
+    accepted = set()
+    for fields in product(FUNCTIONS, (False, True), (False, True),
+                          (None, "ones", "zeros")):
+        try:
+            request = AdderRequest(8, *fields)
+        except CircuitError as exc:
+            assert str(exc).startswith(f"{fields[0]} takes "), exc
+        else:
+            assert variant_fields(request.variant_id) == fields
+            accepted.add(fields)
+    assert accepted == {variant_fields(vid) for vid in VARIANTS}
+    assert len(accepted) == 17
+
+
+def test_a_rejected_request_lists_its_function_as_gen_flags():
+    with pytest.raises(CircuitError) as exc:
+        AdderRequest(8, "compare", in_place=True)
+    assert str(exc.value) == ("compare takes no variant flags or "
+                              "--incoming-carry")
+    with pytest.raises(CircuitError) as exc:
+        AdderRequest(8, "add-mersenne", in_place=True)
+    assert str(exc.value) == (
+        "add-mersenne takes --zero-rep ones, --zero-rep zeros, "
+        "--in-place --zero-rep ones or --in-place --zero-rep zeros")
 
 
 def test_variant_ids_round_trip():
@@ -114,8 +144,8 @@ def test_subtractor_toffoli_count_matches_adder(n):
 
 
 def test_compare_g_round_structure_width_seven():
-    # the kept G-round cone has n - 1 Toffolis; undoing the non-output ones
-    # takes n - w(n-1) - 1 more (the rest feed the output carry chain)
+    # the G-rounds have n - 1 Toffolis; undoing the non-output ones takes
+    # n - w(n-1) - 1 more (the rest feed the output carry chain)
     c = build_variant("compare", 7)
     g_ccx = [g for g in c.gates
              if g.phase == "G" and g.kind is GateKind.TOFFOLI]

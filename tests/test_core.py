@@ -21,11 +21,11 @@ from qcla import (
     schedule_asap,
 )
 from qcla.adders import VARIANTS
-from qcla.core import cnot, ccx, gate_lightcone, levelize, not_
+from qcla.core import cnot, ccx, levelize, not_
 from qcla.sim import run_columns, stride_column
 
 from conftest import GRID, toffoli_depth, valid_small_widths
-from helpers import constant_propagate, invert
+from helpers import constant_propagate, gate_lightcone, invert
 
 
 def small_layout(size: int = 6) -> RegisterLayout:

@@ -50,7 +50,7 @@ def test_popcount_identity_examples():
 def test_formula_spot_values():
     e = formula_eval("add-oop", 10)
     assert e["toffoli"] == 34 and e["ancilla"] == 5
-    assert sorted(e) == sorted(FIELDS)
+    assert list(e) == FIELDS  # the order as well
     e = formula_eval("add-ip-ic", 8)
     assert e["toffoli"] == 54 and e["depth"] == 16  # 4k + 4 with k = 3
     assert formula_eval("compare", 16)["toffoli"] == 79

@@ -144,6 +144,20 @@ def test_run_operands_examples():
     assert out == {"A": 5, "B": 7, "Z": 12, "X": 0}
     out = run_operands(build_variant("compare", 5), "compare", 17, 17)
     assert out["Z"] == 1
+    # operands were once cut to the register (A=3 Z=5) and a missing
+    # carry-in register raised a bare KeyError
+    with pytest.raises(CircuitError,
+                       match=re.escape("operand a=35 out of range [0, 16)")):
+        run_operands(build_variant("add-oop", 4), "add-oop", 35, 2)
+    with pytest.raises(CircuitError, match="reads register Y, which the "
+                                           "circuit does not declare"):
+        run_operands(build_variant("add-oop", 4), "add-oop-ic", 1, 2, 1)
+    for a, b, y, bad in [(5, 16, 0, "b=16"), (-1, 0, 0, "a=-1"),
+                         (1, 2, 2, "y=2")]:
+        with pytest.raises(CircuitError, match=f"operand {bad} out of range"):
+            run_operands(build_variant("add-oop-ic", 4), "add-oop-ic", a, b, y)
+        with pytest.raises(CircuitError, match=f"operand {bad} out of range"):
+            expected_state("add-oop-ic", 4, a, b, y)
 
 
 def test_run_operands_memory_follows_the_registers_not_their_bits():

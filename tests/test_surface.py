@@ -151,6 +151,25 @@ def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused == {}
 
 
+def test_src_imports_these_standard_library_modules_only():
+    # `import qcla, qcla.cli` (the benchmark's setup_s) imports every one of
+    # these in each fresh interpreter, and with no cached bytecode it also
+    # compiles all of src/qcla; a new import is a cost every run pays, so
+    # adding one means adding it here
+    modules = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                modules.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+    assert sorted(modules) == [
+        "__future__", "argparse", "bisect", "collections", "dataclasses",
+        "enum", "functools", "itertools", "json", "operator", "random", "re",
+        "sys", "typing",
+    ]
+
+
 def test_qcla_imports_without_numpy():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     probe = "import sys, qcla, qcla.cli; print('numpy' in sys.modules)"
