@@ -47,9 +47,9 @@ from .carry import (
     PaddedRounds,
     WireFn,
     build_carry_network,
-    interval_slot_count,
     network_gates,
     padded_cells,
+    tree_cells,
 )
 from .core import (
     Barrier,
@@ -84,7 +84,7 @@ class AdderRequest:
     def __post_init__(self) -> None:
         if self.function not in FUNCTIONS:
             raise CircuitError(f"unknown function {self.function!r}")
-        if self._row not in _IDS:
+        if self._row not in [*_IDS]:  # by ==: a field may be unhashable
             *rest, last = [_as_flags(*row[1:]) for row in _IDS
                            if row[0] == self.function]
             rows = f"{', '.join(rest)} or {last}" if rest else last
@@ -117,11 +117,11 @@ def _seal(copies: list[Gate], block: list[Gate]) -> tuple[list[Gate], list[Gate]
 
     The in-order scheduler would otherwise blend the head of ``block`` into
     the last slice of ``copies``, splitting the block's first slice (and
-    costing a Toffoli slice when the block is Toffolis).  Reorders both
-    sides so a wire-sharing pair sits at the seam -- its copy last, its
-    block gate first -- which forces the block to start on a fresh slice.
-    Gates are only exchanged with wire-disjoint neighbours, so semantics
-    are unchanged.
+    costing a Toffoli slice when the block is Toffolis).  Returns both
+    sides reordered, as new lists, so a wire-sharing pair sits at the seam
+    -- its copy last, its block gate first -- which forces the block to
+    start on a fresh slice.  Gates are only exchanged with wire-disjoint
+    neighbours, so semantics are unchanged.
     """
     head = 0
     head_wires: set[int] = set()
@@ -217,7 +217,7 @@ def _out_of_place(n: int, incoming_carry: bool,
     """
     w = n - mod2n
     m = w + int(incoming_carry)  # carry-tree width
-    layout = _layout(n, w + 1, interval_slot_count(m), incoming_carry)
+    layout = _layout(n, w + 1, len(tree_cells(m)), incoming_carry)
     A, B, Z, X, Y = _registers(layout)
     aw, bw, lo = _positions(A, B, Y)
     gw = lambda j: Z[j - lo]
@@ -256,10 +256,10 @@ def _in_place(layout: RegisterLayout, gw: WireFn, width: int,
     gates += fwd
     gates += [cnot(gw(i), bw(i), "sum") for i in sums]
     gates += [not_(bw(i), "negate") for i in erase]
-    fix1, rev = _seal([cnot(aw(i), bw(i), "fixup") for i in fixes],
-                      retag(reversed(back), "Pinv"))
-    fix2, gen = _seal([cnot(aw(i), bw(i), "fixup") for i in fixes],
-                      [ccx(aw(i), bw(i), gw(i + 1), "fixup") for i in erase])
+    fix = [cnot(aw(i), bw(i), "fixup") for i in fixes]
+    fix1, rev = _seal(fix, retag(reversed(back), "Pinv"))
+    fix2, gen = _seal(fix, [ccx(aw(i), bw(i), gw(i + 1), "fixup")
+                            for i in erase])
     gates += fix1 + rev + fix2 + gen
     gates += [not_(bw(i), "negate") for i in erase]
     return gates
@@ -284,7 +284,7 @@ def _add_ip(n: int, incoming_carry: bool,
     lo = int(incoming_carry)
     e = n - 1 + lo  # carries erased
     m = e + 1 - mod2n  # forward tree width
-    layout = _layout(n, 1 - mod2n, n - 1 + interval_slot_count(m),
+    layout = _layout(n, 1 - mod2n, n - 1 + len(tree_cells(m)),
                      incoming_carry)
     A, B, _, X, Y = _registers(layout)
     _, bw, _ = _positions(A, B, Y)
@@ -341,13 +341,10 @@ def _compare(n: int,
     gates: list[Gate] = [not_(a, "negate") for a in A]
     gates += [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, m)]
     gates += [cnot(aw(i), bw(i), "init") for i in range(1, m)]
-    p_fw = rounds.p_gates()
-    g_fw = rounds.g_gates()
-    gates += levelize(p_fw + g_fw)
+    gates += levelize(rounds.p_gates + rounds.g_gates)
     top = rounds.carry0_wire
-    un_g = retag((g for g in reversed(g_fw) if g.target != top), "fixup")
-    p_bw = retag(reversed(p_fw), "Pinv")
-    gates += levelize(un_g + p_bw)
+    un_g = [g for g in reversed(rounds.g_gates) if g.target != top]
+    gates += levelize(retag(un_g, "fixup") + rounds.pinv)
     fix = [cnot(aw(i), bw(i), "fixup") for i in range(1, m)]
     erase = [ccx(aw(i), bw(i), gw(i + 1), "fixup") for i in range(lo, m - 1)]
     fix, erase = _seal(fix, erase)
@@ -377,19 +374,17 @@ def _mersenne_oop(n: int,
     gates: list[Gate] = []
     gates += [ccx(A[i], B[i], gw(i + 1), "init") for i in range(n)]
     gates += [cnot(A[i], B[i], "init") for i in range(n)]
-    gates += _mersenne_rounds(rounds, gw(n), zero_rep)
+    gates += _mersenne_rounds(rounds, zero_rep)
     gates += [cnot(B[i], Z[i], "sum") for i in range(n)]
     gates += [cnot(A[i], B[i], "fixup") for i in range(n)]
     return layout, gates
 
 
-def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: int,
-                     zero_rep: str) -> list[Gate]:
-    """P / G / wraparound-C / inverse-P rounds for one end-around addition."""
-    p_fw = rounds.p_gates()
-    g_fw = rounds.g_gates()
-    c_fw = rounds.c_gates()
-    p_bw = retag(reversed(p_fw), "Pinv")
+def _mersenne_rounds(rounds: PaddedRounds, zero_rep: str) -> list[Gate]:
+    """P / G / wraparound-C / inverse-P rounds for one end-around addition:
+    the ``rounds``' own gates (left as they are), with the fold Toffoli
+    inserted for ``"zeros"``."""
+    g_fw = rounds.g_gates
     if zero_rep == "zeros":
         # Fold p[0, N) into the wrapped carry w before the C-rounds read
         # it.  The fold commutes with the G-round writes of w, so it may go
@@ -408,24 +403,27 @@ def _mersenne_rounds(rounds: PaddedRounds, wrap_wire: int,
         # checks the widths the tests and the benchmark build.
         e = [0, *rounds.g_round_ends][
             ((rounds.n - 1) % max(rounds.N >> 2, 1)).bit_length()]
-        g_fw.insert(e, ccx(*rounds.full_prefix_propagate(), wrap_wire, "C"))
-    return levelize(p_fw + g_fw + c_fw + p_bw)
+        fold = ccx(*rounds.fold_controls, rounds.carry0_wire, "C")
+        g_fw = [*g_fw[:e], fold, *g_fw[e:]]
+    return levelize(rounds.p_gates + g_fw + rounds.c_gates + rounds.pinv)
 
 
 def _mersenne_ip(n: int,
                  zero_rep: str) -> tuple[RegisterLayout, list[Gate]]:
     """``B = a + b mod 2^n - 1``: the forward rounds in the representation
     ``zero_rep``, then the *other* representation's rounds inverted on ``A``
-    and the complemented sum erase the carries.  Carry homes are
-    ``X[0..n-1]``; position ``n`` wraps to ``X[0]``, which is also ``c_0``,
-    so every position sums and erases."""
+    and the complemented sum erase the carries.  Both trees share the gates
+    of one ``PaddedRounds`` and differ only in the fold Toffoli and their
+    levelized order.  Carry homes are ``X[0..n-1]``; position ``n``
+    wraps to ``X[0]``, which is also ``c_0``, so every position sums and
+    erases."""
     layout = _layout(n, 0, n + len(padded_cells(n, wrap=True)), False)
     _, B, _, X, _ = _registers(layout)
     gw = [*X[:n], X[0]].__getitem__
     rounds = PaddedRounds(n, gw, B.__getitem__, X[n:].__getitem__, wrap=True)
     other = "zeros" if zero_rep == "ones" else "ones"
-    fwd = _mersenne_rounds(rounds, gw(n), zero_rep)
-    back = _mersenne_rounds(rounds, gw(n), other)
+    fwd = _mersenne_rounds(rounds, zero_rep)
+    back = _mersenne_rounds(rounds, other)
     every = range(n)
     return layout, _in_place(layout, gw, n, fwd, back, sums=every,
                              erase=every, fixes=every)

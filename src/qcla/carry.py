@@ -4,7 +4,7 @@ Positions are 1-based: the carry array ``G[1..n]`` starts as the per-position
 generate bits ``g[j-1, j]`` and ends as the carries ``c_1..c_n``; ``P_0[i]``
 (``i >= 1``) is the per-position propagate bit ``a_i XOR b_i``.  Interval
 propagate values ``P_t[m] = p[2^t * m, 2^t * (m+1))`` for ``t >= 1`` live in
-ancilla slots.
+ancilla slots, one per *cell* ``(t, m)``.
 
 Four round families build and then uncompute the tree:
 
@@ -15,9 +15,11 @@ Four round families build and then uncompute the tree:
 
 ``network_gates`` emits the whole tree over caller-chosen wires, and
 ``build_carry_network`` wraps it as the standalone ``carry-network``
-circuit.  ``PaddedRounds`` additionally supports widths padded up to a
+circuit.  ``PaddedRounds`` makes the rounds of a width padded up to a
 power of two with constant propagate-1 / generate-0 positions (never
 materialized as wires), and wraparound carries for end-around addition.
+Ancilla registers are sized by counting the cells a tree enumerates
+(``tree_cells``, ``padded_cells``), never by the paper's closed forms.
 """
 
 from __future__ import annotations
@@ -54,9 +56,12 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def interval_slot_count(n: int) -> int:
-    """Number of interval-propagate ancillae for an unpadded width-n tree."""
-    return n - n.bit_count() - floor_log2(n) if n >= 1 else 0
+def tree_cells(n: int) -> list[tuple[int, int]]:
+    """The interval cells ``(t, m)`` that get an ancilla slot in the
+    unpadded width-``n`` tree, in slot order: ``1 <= m < floor(n/2^t)`` for
+    ``1 <= t < floor(log2 n)``, ``t`` ascending, then ``m`` ascending."""
+    return [(t, m) for t in range(1, n.bit_length() - 1)
+            for m in range(1, n >> t)]
 
 
 def network_gates(n: int, slot: WireFn, gw: WireFn, pw: WireFn) -> list[Gate]:
@@ -64,16 +69,14 @@ def network_gates(n: int, slot: WireFn, gw: WireFn, pw: WireFn) -> list[Gate]:
 
     ``gw(j)`` maps carry position ``j`` (1-based) to a wire, ``pw(i)`` maps
     position-propagate index ``i`` to a wire, and ``slot(s)`` is the wire
-    of the ``s``-th interval slot ``(t, m)``, ``1 <= m < floor(n/2^t)`` for
-    ``1 <= t < floor(log2 n)``, numbered ``t`` ascending, then ``m``
-    ascending.  Width 0 is the empty tree.  Gates come back in
-    dependency-level order (see ``levelize``), which overlaps rounds of
+    of the ``s``-th cell of ``tree_cells(n)``.  Width 0 is the empty tree.
+    Gates come back in dependency-level order (see ``levelize``), which overlaps rounds of
     different families -- e.g. P-round ``t + 1`` runs beside G-round ``t``
     -- so that in-order slicing reaches the tree's true depth of
     ``floor(log n) + floor(log(n/3)) + 3``.
     """
     k = n.bit_length() - 1  # floor(log2 n)
-    cells = [(t, m) for t in range(1, k) for m in range(1, n >> t)]
+    cells = tree_cells(n)
     # (t, m) -> the wire of P_t[m]: position propagates, then the slots
     p = {(0, i): pw(i) for i in range(n)}
     p.update((cell, slot(s)) for s, cell in enumerate(cells))
@@ -104,7 +107,7 @@ def build_carry_network(n: int) -> Circuit:
         [
             Register("B", n, Role.INPUT_B),
             Register("Z", n, Role.OUTPUT),
-            Register("X", interval_slot_count(n), Role.ANCILLA),
+            Register("X", len(tree_cells(n)), Role.ANCILLA),
         ]
     )
     B, Z, X = (layout.indices(r) for r in "BZX")
@@ -143,11 +146,18 @@ class PaddedRounds:
     wire of their lower half, and only genuinely mixed intervals get an
     ancilla slot and a Toffoli.
 
+    The constructor makes each round once, as attributes that callers
+    share and do not mutate: ``p_gates``, ``pinv`` (the same reversed and
+    tagged ``Pinv``), ``g_gates`` with ``g_round_ends`` (the gate count
+    after each round ``t``), and ``carry0_wire``, which ends up holding
+    ``g[0, N)`` (always the position-``n`` carry wire).
+
     With ``wrap=True`` the tree also maintains the full-prefix propagate
-    values ``p[0, 2^t)`` (slots ``(t, 0)``, fed from ``pw(0)``) and the
-    C-rounds produce end-around carries: ``c_j = g[0, j) XOR c_0 * p[0, j)``
-    where ``c_0`` is whatever the position-``n`` carry wire holds after the
-    G-rounds.
+    values ``p[0, 2^t)`` (slots ``(t, 0)``, fed from ``pw(0)``), and makes
+    ``fold_controls``, the two wires whose AND is ``p[0, N)``, and the
+    C-rounds ``c_gates``, which produce end-around carries: ``c_j = g[0, j)
+    XOR c_0 * p[0, j)`` where ``c_0`` is whatever ``carry0_wire`` holds
+    after the G-rounds.
     """
 
     def __init__(self, n: int, gw: WireFn, pw: WireFn,
@@ -159,9 +169,15 @@ class PaddedRounds:
         self.N = 1 << self.k
         self.gw = gw
         self.pw = pw
-        self.wrap = wrap
         self.slots = {cell: slot_wires(s)
                       for s, cell in enumerate(padded_cells(n, wrap))}
+        self.p_gates = self._p_rounds()
+        self.pinv = retag(reversed(self.p_gates), "Pinv")
+        self.g_gates, self.g_round_ends, self.carry0_wire = self._g_rounds()
+        if wrap:
+            self.c_gates = self._c_rounds()
+            self.fold_controls = (self.resolve_p(self.k - 1, 0),
+                                  self.resolve_p(self.k - 1, 1))
 
     def resolve_p(self, t: int, m: int) -> int | object:
         """Wire (or constant-1 marker) holding ``p[2^t * m, 2^t * (m+1))``."""
@@ -174,7 +190,7 @@ class PaddedRounds:
             return self.resolve_p(t - 1, 2 * m)
         return self.slots[(t, m)]
 
-    def p_gates(self) -> list[Gate]:
+    def _p_rounds(self) -> list[Gate]:
         gates = []
         for (t, m), wire in self.slots.items():
             lo = self.resolve_p(t - 1, 2 * m)
@@ -185,18 +201,9 @@ class PaddedRounds:
             gates.append(ccx(lo, hi, wire, "P"))
         return gates
 
-    def full_prefix_propagate(self) -> tuple[int | object, int | object]:
-        """The two wires whose AND is ``p[0, N)`` (requires ``wrap``)."""
-        return self.resolve_p(self.k - 1, 0), self.resolve_p(self.k - 1, 1)
-
-    def g_gates(self) -> list[Gate]:
-        """All G-round gates; sets ``self.carry0_wire`` to the wire that ends
-        up holding ``g[0, N)`` (always the position-``n`` carry wire) and
-        ``self.g_round_ends`` to the cumulative gate count after each round
-        ``t``."""
+    def _g_rounds(self) -> tuple[list[Gate], list[int], int]:
         home: dict[int, int] = {j: self.gw(j) for j in range(1, self.n + 1)}
-        gates = []
-        self.g_round_ends: list[int] = []
+        gates, ends = [], []
         for t in range(1, self.k + 1):
             for m in range(self.N >> t):
                 j = (m << t) + (1 << t)
@@ -212,27 +219,18 @@ class PaddedRounds:
                     home[j] = cv
                 else:
                     gates.append(ccx(home[jc], pv, home[j], "G"))
-            self.g_round_ends.append(len(gates))
-        self.carry0_wire = home[self.N]
-        if self.carry0_wire != self.gw(self.n):
+            ends.append(len(gates))
+        if home[self.N] != self.gw(self.n):
             raise InternalConsistencyError("top carry not at position n")
-        return gates
+        return gates, ends, home[self.N]
 
-    def c_gates(self) -> list[Gate]:
-        """Wraparound C-rounds (requires ``wrap`` and a prior ``g_gates``)."""
-        if not self.wrap:
-            raise CircuitError("c_gates requires wrap=True")
-        c0 = self.carry0_wire
+    def _c_rounds(self) -> list[Gate]:
+        c0, gw, p = self.carry0_wire, self.gw, self.resolve_p
         gates = []
         for t in range(self.k, 0, -1):
-            j = 1 << (t - 1)
-            if j <= self.n - 1:
-                gates.append(ccx(c0, self.resolve_p(t - 1, 0), self.gw(j), "C"))
-            m = 1
-            while (m << t) + (1 << (t - 1)) <= self.n - 1:
-                gates.append(
-                    ccx(self.gw(m << t), self.resolve_p(t - 1, 2 * m),
-                        self.gw((m << t) + (1 << (t - 1))), "C")
-                )
-                m += 1
+            h = 1 << (t - 1)
+            if h < self.n:
+                gates.append(ccx(c0, p(t - 1, 0), gw(h), "C"))
+            gates += [ccx(gw(m << t), p(t - 1, 2 * m), gw((m << t) + h), "C")
+                      for m in range(1, ((self.n - 1 - h) >> t) + 1)]
         return gates

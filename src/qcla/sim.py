@@ -114,10 +114,12 @@ def _width(op: str, n: int) -> int:
 def check_inputs(circuit: Circuit, variant_id: str, n: int) -> None:
     """Raise :class:`CircuitError` unless the circuit declares every register
     the variant reads at width ``n`` (the carry-in ``Y`` at width 1)."""
-    for op, reg in input_registers(variant_id):
-        if reg not in circuit.layout:
-            raise CircuitError(f"{variant_id} reads register {reg}, which the "
-                               f"circuit does not declare")
+    pairs = input_registers(variant_id)
+    missing = [reg for _, reg in pairs if reg not in circuit.layout]
+    if missing:
+        raise CircuitError(f"{variant_id} reads register {missing[0]}, which "
+                           f"the circuit does not declare")
+    for op, reg in pairs:
         size, want = circuit.layout[reg].size, _width(op, n)
         if size != want:
             raise CircuitError(f"{variant_id} n={n} reads {reg}[{want}], but "

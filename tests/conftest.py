@@ -10,7 +10,7 @@ import pytest
 import qcla.formulas
 from qcla import CircuitError, build_variant, emit_native, verify_family
 from qcla.adders import VARIANTS, request_for
-from qcla.core import Circuit, GateKind
+from qcla.core import Circuit, GateKind, touched_wires
 from qcla.sim import run_columns, stride_column
 
 # width grid used by the resource checks: dense through 64, then powers of two
@@ -53,23 +53,26 @@ class GridSweep(NamedTuple):
     results: dict  # (variant, n, field) -> VerifyResult
     digests: dict  # (variant, n) -> native_digest of the circuit verified
     depths: dict  # (variant, n) -> toffoli_depth of the circuit verified
+    idle: dict  # (variant, n) -> the X wires no gate of that circuit touches
 
 
 @pytest.fixture(scope="session")
 def grid_sweep() -> GridSweep:
     """``verify_family`` for every variant over the width grid, run once.
 
-    Every circuit that ``verify_family`` builds is also digested and its
-    Toffoli DAG depth taken, so the golden-digest and scheduler tests check
-    the very circuits the resource checks measured without building them a
-    second time.
+    Every circuit that ``verify_family`` builds is also digested, its
+    Toffoli DAG depth taken and its untouched ancillae listed, so the
+    golden-digest, scheduler and ancilla tests check the very circuits the
+    resource checks measured without building them a second time.
     """
-    results, digests, depths = {}, {}, {}
+    results, digests, depths, idle = {}, {}, {}, {}
 
     def build_and_digest(vid: str, n: int) -> Circuit:
         circuit = build_variant(vid, n)
         digests[(vid, n)] = native_digest(circuit)
         depths[(vid, n)] = toffoli_depth(circuit)
+        idle[(vid, n)] = (set(circuit.layout.indices("X"))
+                          - touched_wires(circuit.gates))
         return circuit
 
     with pytest.MonkeyPatch.context() as mp:
@@ -77,7 +80,7 @@ def grid_sweep() -> GridSweep:
         for vid in VARIANTS:
             for r in verify_family(vid, GRID):
                 results[(vid, r.n, r.field)] = r
-    return GridSweep(results, digests, depths)
+    return GridSweep(results, digests, depths, idle)
 
 
 def gc_boundary_ok(n: int) -> bool:

@@ -66,6 +66,10 @@ def test_requests_are_the_rows_of_the_variant_table():
             accepted.add(fields)
     assert accepted == {variant_fields(vid) for vid in VARIANTS}
     assert len(accepted) == 17
+    # an unhashable field once raised TypeError from the row lookup
+    for kwargs in (dict(zero_rep=["ones"]), dict(in_place=[True])):
+        with pytest.raises(CircuitError, match="^add takes no variant flags"):
+            AdderRequest(4, "add", **kwargs)
 
 
 def test_a_rejected_request_lists_its_function_as_gen_flags():
@@ -189,6 +193,23 @@ def test_each_build_checks_its_gates_once(vid, monkeypatch):
     assert checked == [len(circuit.gates)]
 
 
+@pytest.mark.parametrize("vid", VARIANTS)
+def test_each_build_makes_its_padded_rounds_once(vid, monkeypatch):
+    # a PaddedRounds makes its rounds when constructed, so this pins one set
+    # of P, G (and C) gates per build; the in-place Mersenne adders once
+    # made each of them twice
+    made = []
+    init = PaddedRounds.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PaddedRounds, "__init__", counted_init)
+    build_variant(vid, 9)
+    assert len(made) == vid.startswith(("compare", "mersenne-"))
+
+
 # ---------------------------------------------------------------------------
 # The one-pass Mersenne fold
 
@@ -197,11 +218,11 @@ def fold_by_search(rounds: PaddedRounds, wrap_wire: int) -> list:
     """The ``zeros`` rounds by brute force: levelize the order with the fold
     gate at every G-round boundary and keep the first one with the fewest
     Toffoli slices."""
-    p_fw = rounds.p_gates()
-    g_fw = rounds.g_gates()
-    c_fw = rounds.c_gates()
+    p_fw = rounds.p_gates
+    g_fw = rounds.g_gates
+    c_fw = rounds.c_gates
     p_bw = retag(reversed(p_fw), "Pinv")
-    extra = ccx(*rounds.full_prefix_propagate(), wrap_wire, "C")
+    extra = ccx(*rounds.fold_controls, wrap_wire, "C")
     layout = RegisterLayout([Register("W", 2 * rounds.n + len(rounds.slots),
                                       Role.ANCILLA)])
 
@@ -220,6 +241,13 @@ def test_one_pass_fold_matches_the_candidate_search(n):
     # propagate bits on 0..n-1, carries on n..2n-1 (position n wraps to
     # position 0), interval slots from 2n
     carries = [*range(n, 2 * n), n]
-    rounds = PaddedRounds(n, carries.__getitem__, lambda i: i,
-                          lambda s: 2 * n + s, wrap=True)
-    assert _mersenne_rounds(rounds, n, "zeros") == fold_by_search(rounds, n)
+
+    def fresh_rounds():
+        return PaddedRounds(n, carries.__getitem__, lambda i: i,
+                            lambda s: 2 * n + s, wrap=True)
+
+    rounds = fresh_rounds()
+    assert _mersenne_rounds(rounds, "zeros") == fold_by_search(rounds, n)
+    # the in-place adders share one rounds between both representations
+    assert (_mersenne_rounds(rounds, "ones")
+            == _mersenne_rounds(fresh_rounds(), "ones"))

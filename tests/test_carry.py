@@ -8,7 +8,7 @@ from qcla.carry import (
     build_carry_network,
     ceil_log2,
     floor_log2,
-    interval_slot_count,
+    tree_cells,
 )
 from qcla.formulas import log_third, popcount
 from qcla.sim import exhaustive_check
@@ -41,7 +41,7 @@ def test_counts_and_depth_bound(n):
     k, w = floor_log2(n), popcount(n)
     r = resource_report(build_variant("carry-network", n))
     assert r.toffoli == max(4 * n - 3 * w - 3 * k - 1, 0)
-    assert r.ancilla_count == n - w - k == interval_slot_count(n)
+    assert r.ancilla_count == n - w - k == len(tree_cells(n))
     depth = k + log_third(n) + 3
     if n >= 5:
         assert r.toffoli_slices == depth

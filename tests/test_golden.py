@@ -9,8 +9,14 @@ barrier fails here.  Regenerate it only on purpose, from the repository
 root::
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+The native text drops phase tags, so ``PHASE_DIGEST`` pins them apart: one
+SHA-256 over every gate's ``(kind, controls, target, phase)`` and every
+barrier, for each variant at each valid width 1..16 and at 64.  A change
+that retags gates on purpose updates it by hand.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,6 +26,8 @@ from qcla.adders import VARIANTS
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SMALL_TOP = 6
+PHASE_DIGEST = ("c057e82d730fa4d18a0b196a3ca5e836"
+                "8b2c2480a15ec9f1754e6de8383e5b57")
 
 
 def small_pairs() -> list[tuple[str, int]]:
@@ -44,6 +52,22 @@ def test_small_width_digests_match():
     bad = [(v, n) for v, n in small_pairs()
            if golden[f"{v}/{n}"] != native_digest(build_variant(v, n))]
     assert not bad, f"circuits differ from the golden digests: {bad}"
+
+
+def phase_digest() -> str:
+    digest = hashlib.sha256()
+    for v in VARIANTS:
+        for n in valid_small_widths(v, 16) + [64]:
+            circuit = build_variant(v, n)
+            for kind, controls, target, phase in circuit.gates:
+                digest.update(repr((kind.value, controls, target,
+                                    phase)).encode())
+            digest.update(repr(circuit.barriers).encode())
+    return digest.hexdigest()
+
+
+def test_phase_tags_and_barriers_match():
+    assert phase_digest() == PHASE_DIGEST
 
 
 def test_table_covers_exactly_the_checked_pairs():

@@ -152,6 +152,13 @@ def test_run_operands_examples():
     with pytest.raises(CircuitError, match="reads register Y, which the "
                                            "circuit does not declare"):
         run_operands(build_variant("add-oop", 4), "add-oop-ic", 1, 2, 1)
+    # without B, n once read as 0 and the error blamed A's width
+    base = build_variant("add-oop", 4)
+    no_b = Circuit(RegisterLayout([r for r in base.layout.registers
+                                   if r.name != "B"]), [])
+    with pytest.raises(CircuitError, match="reads register B, which the "
+                                           "circuit does not declare"):
+        run_operands(no_b, "add-oop", 5, 7)
     for a, b, y, bad in [(5, 16, 0, "b=16"), (-1, 0, 0, "a=-1"),
                          (1, 2, 2, "y=2")]:
         with pytest.raises(CircuitError, match=f"operand {bad} out of range"):
