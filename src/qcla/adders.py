@@ -17,11 +17,13 @@ G-round boundary given in closed form by ``n`` (see ``_mersenne_rounds``).
 
 Three shared pieces build the adders:
 
-* the *position map* (``_positions``): an incoming carry ``y`` turns an
+* the *position lists* (``_positions``): an incoming carry ``y`` turns an
   adder into the same adder one position wider on the doubled operands
   ``2a + y`` and ``2b + y``, so tree position ``i`` reads register bit
-  ``i - lo`` with ``lo = 1``; ``_carry_homes`` places each in-place carry
-  (``Y`` itself for position 1, ``Z[0]`` for a carry-out, ``X`` otherwise);
+  ``i - lo`` with ``lo = 1``; ``_carry_homes`` lists each in-place carry
+  wire by position (``Y`` itself for position 1, ``Z[0]`` for a carry-out,
+  ``X`` otherwise).  Each step is one ``map`` of a gate factory over
+  slices of these lists;
 * the *out-of-place body* (``_out_of_place``): generate bits into ``Z``,
   propagate bits onto ``B``, the carry tree, the sum folded into ``Z``;
 * the *in-place skeleton* (``_in_place``), in the paper's step order:
@@ -39,13 +41,12 @@ table; ``build`` is one lookup, and ``build_variant(id, n)`` is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Callable
 
 from .carry import (
     PaddedRounds,
-    WireFn,
     build_carry_network,
     network_gates,
     padded_cells,
@@ -120,24 +121,27 @@ def _seal(copies: list[Gate], block: list[Gate]) -> tuple[list[Gate], list[Gate]
     costing a Toffoli slice when the block is Toffolis).  Returns both
     sides reordered, as new lists, so a wire-sharing pair sits at the seam
     -- its copy last, its block gate first -- which forces the block to
-    start on a fresh slice.  Gates are only exchanged with wire-disjoint
-    neighbours, so semantics are unchanged.
+    start on a fresh slice.  The pair is the first gate of the block's
+    head (its leading run of pairwise wire-disjoint gates) that shares a
+    wire with a copy, and the first such copy.  Gates are only exchanged
+    with wire-disjoint neighbours, so semantics are unchanged.
     """
-    head = 0
-    head_wires: set[int] = set()
-    for g in block:
-        wires = set(g.wires)
-        if head_wires & wires:
+    first: dict[int, int] = {}  # wire -> the first copy that uses it
+    for ci, (_, controls, target, _) in enumerate(copies):
+        first.setdefault(target, ci)
+        for c in controls:
+            first.setdefault(c, ci)
+    head: set[int] = set()  # the wires of the block's head so far
+    for bi, (_, controls, target, _) in enumerate(block):
+        wires = (*controls, target)
+        if not head.isdisjoint(wires):
             break
-        head_wires |= wires
-        head += 1
-    for bi in range(head):
-        wires = set(block[bi].wires)
-        for ci, c in enumerate(copies):
-            if wires & set(c.wires):
-                copies = copies[:ci] + copies[ci + 1:] + [c]
-                block = [block[bi]] + block[:bi] + block[bi + 1:]
-                return copies, block
+        hits = [first[w] for w in wires if w in first]
+        if hits:
+            ci = min(hits)
+            return (copies[:ci] + copies[ci + 1:] + [copies[ci]],
+                    [block[bi]] + block[:bi] + block[bi + 1:])
+        head.update(wires)
     return copies, block
 
 
@@ -179,23 +183,24 @@ def _registers(layout: RegisterLayout) -> tuple[list[int], ...]:
 
 
 def _positions(A: list[int], B: list[int],
-               Y: list[int]) -> tuple[WireFn, WireFn, int]:
-    """``(aw, bw, lo)``: tree position ``i`` reads register bit ``i - lo``.
+               Y: list[int]) -> tuple[list[int], list[int], int]:
+    """``(Ap, Bp, lo)``: the wires of tree positions ``0, 1, ...`` in the
+    two operands, where position ``i`` is register bit ``i - lo``.
 
     With an incoming carry ``lo = 1``: position 0 of both doubled operands
     ``2a + y`` and ``2b + y`` is the carry ``Y[0]`` itself.
     """
-    return [*Y, *A].__getitem__, [*Y, *B].__getitem__, len(Y)
+    return [*Y, *A], [*Y, *B], len(Y)
 
 
-def _carry_homes(layout: RegisterLayout) -> WireFn:
-    """Carry position -> wire for the in-place forms: ``Y[0]`` holds the
-    position-1 carry when a carry comes in (it is only ever read), the
-    ``n - 1`` scratch wires at the bottom of ``X`` the next positions, and
-    ``Z[0]``, where the layout has it, the carry-out."""
+def _carry_homes(layout: RegisterLayout) -> list[int | None]:
+    """The wire of each carry position for the in-place forms: ``Y[0]``
+    holds the position-1 carry when a carry comes in (it is only ever
+    read), the ``n - 1`` scratch wires at the bottom of ``X`` the next
+    positions, and ``Z[0]``, where the layout has it, the carry-out.
+    Position 0 has no carry wire."""
     A, _, Z, X, Y = _registers(layout)
-    homes = [*Y, *X[:len(A) - 1], *Z[:1]]
-    return lambda j: homes[j - 1]
+    return [None, *Y, *X[:len(A) - 1], *Z[:1]]
 
 
 def _out_of_place(n: int, incoming_carry: bool,
@@ -219,50 +224,49 @@ def _out_of_place(n: int, incoming_carry: bool,
     m = w + int(incoming_carry)  # carry-tree width
     layout = _layout(n, w + 1, len(tree_cells(m)), incoming_carry)
     A, B, Z, X, Y = _registers(layout)
-    aw, bw, lo = _positions(A, B, Y)
-    gw = lambda j: Z[j - lo]
+    Ap, Bp, lo = _positions(A, B, Y)
+    G = [*Y, *Z]  # carry position j is Z[j - lo]
     gates = [cnot(Y[0], Z[0], "init")] if lo else []
-    gates += [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, m)]
-    gates += [cnot(aw(i), bw(i), "init") for i in range(1, m)]
-    gates += network_gates(m, X.__getitem__, gw, bw)
-    gates += [cnot(B[i], Z[i], "sum") for i in range(w)]
+    gates += map(ccx, Ap[lo:m], Bp[lo:m], G[lo + 1:m + 1], repeat("init"))
+    gates += map(cnot, Ap[1:m], Bp[1:m], repeat("init"))
+    gates += network_gates(m, X, G, Bp)
+    gates += map(cnot, B[:w], Z[:w], repeat("sum"))
     if w and not lo:
         gates.append(cnot(A[0], Z[0], "fixup"))
     if w < n:
         gates += [cnot(r[w], Z[w], "sum") for r in (A, B)]
-    gates += [cnot(aw(i), bw(i), "fixup") for i in range(1, m)]
+    gates += map(cnot, Ap[1:m], Bp[1:m], repeat("fixup"))
     return layout, gates
 
 
-def _in_place(layout: RegisterLayout, gw: WireFn, width: int,
-              fwd: list[Gate], back: list[Gate], sums: range, erase: range,
-              fixes: range) -> list[Gate]:
+def _in_place(layout: RegisterLayout, G: list[int | None], width: int,
+              fwd: list[Gate], rev: list[Gate], sums: slice, erase: slice,
+              fixes: slice) -> list[Gate]:
     """The in-place skeleton: ``B`` becomes the sum, carries are erased.
 
     Positions ``lo..width-1`` write their generate bits to their carry
-    wires ``gw(i + 1)`` and every register position its propagate bit onto
-    ``B``; ``fwd`` turns the generate bits into carries, which ``sums``
-    fold into ``B``.  Negating the ``erase`` positions of ``B`` leaves
-    ``A`` and the complemented sum, on which ``back`` (reversed) and the
-    ``erase`` Toffolis run the carry computation backwards; the ``fixes``
-    CNOTs put that computation's propagate bits on ``B`` for the reversed
-    tree and take them off again.
+    wires ``G[i + 1]`` and every register position its propagate bit onto
+    ``B``; ``fwd`` turns the generate bits into carries, which the ``sums``
+    positions fold into ``B``.  Negating the ``erase`` positions of ``B``
+    leaves ``A`` and the complemented sum, on which ``rev`` (a carry tree
+    reversed and tagged ``Pinv``) and the ``erase`` Toffolis run the carry
+    computation backwards; the ``fixes`` CNOTs put that computation's
+    propagate bits on ``B`` for the reversed tree and take them off again.
     """
     A, B, _, _, Y = _registers(layout)
-    aw, bw, lo = _positions(A, B, Y)
-    n = len(A)
-    gates = [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, width)]
-    gates += [cnot(aw(i), bw(i), "init") for i in range(lo, lo + n)]
+    Ap, Bp, lo = _positions(A, B, Y)
+    out = G[1:]  # position i's carry-out wire
+    gates = [*map(ccx, Ap[lo:width], Bp[lo:width], out[lo:width],
+                  repeat("init"))]
+    gates += map(cnot, A, B, repeat("init"))
     gates += fwd
-    gates += [cnot(gw(i), bw(i), "sum") for i in sums]
-    gates += [not_(bw(i), "negate") for i in erase]
-    fix = [cnot(aw(i), bw(i), "fixup") for i in fixes]
-    fix1, rev = _seal(fix, retag(reversed(back), "Pinv"))
-    fix2, gen = _seal(fix, [ccx(aw(i), bw(i), gw(i + 1), "fixup")
-                            for i in erase])
-    gates += fix1 + rev + fix2 + gen
-    gates += [not_(bw(i), "negate") for i in erase]
-    return gates
+    gates += map(cnot, G[sums], Bp[sums], repeat("sum"))
+    negate = [*map(not_, Bp[erase], repeat("negate"))]
+    fix = [*map(cnot, Ap[fixes], Bp[fixes], repeat("fixup"))]
+    fix1, rev = _seal(fix, rev)
+    fix2, gen = _seal(fix, [*map(ccx, Ap[erase], Bp[erase], out[erase],
+                                 repeat("fixup"))])
+    return gates + negate + fix1 + rev + fix2 + gen + negate
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +291,14 @@ def _add_ip(n: int, incoming_carry: bool,
     layout = _layout(n, 1 - mod2n, n - 1 + len(tree_cells(m)),
                      incoming_carry)
     A, B, _, X, Y = _registers(layout)
-    _, bw, _ = _positions(A, B, Y)
-    gw = _carry_homes(layout)
-    slot = X[n - 1:].__getitem__  # after the n - 1 scratch carries
-    fwd = network_gates(m, slot, gw, bw)
-    back = fwd if mod2n else network_gates(e, slot, gw, bw)
-    return layout, _in_place(layout, gw, m, fwd, back, sums=range(1, e + 1),
-                             erase=range(lo, e), fixes=range(1, e))
+    _, Bp, _ = _positions(A, B, Y)
+    G = _carry_homes(layout)
+    slots = X[n - 1:]  # after the n - 1 scratch carries
+    fwd = network_gates(m, slots, G, Bp)
+    rev = (retag(reversed(fwd), "Pinv") if mod2n
+           else network_gates(e, slots, G, Bp, "Pinv")[::-1])
+    return layout, _in_place(layout, G, m, fwd, rev, sums=slice(1, e + 1),
+                             erase=slice(lo, e), fixes=slice(1, e))
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +313,9 @@ def _sub(n: int, in_place: bool) -> tuple[RegisterLayout, list[Gate]]:
     """
     layout, gates = _add_ip(n, False) if in_place else _out_of_place(n, False)
     A, B, Z, _, _ = _registers(layout)
-    pre = [not_(a, "negate") for a in A]
-    post = [not_(a, "negate") for a in A]
-    if in_place:
-        post += [not_(b, "negate") for b in B]
-    post += [not_(z, "negate") for z in Z]
-    return layout, pre + gates + post
+    negate_a = [*map(not_, A, repeat("negate"))]
+    post = [*map(not_, (B if in_place else []) + Z, repeat("negate"))]
+    return layout, negate_a + gates + negate_a + post
 
 
 # ---------------------------------------------------------------------------
@@ -334,24 +336,23 @@ def _compare(n: int,
     m = n + int(incoming_carry)  # carry positions 1..m
     layout = _layout(n, 1, n - 1 + len(padded_cells(m)), incoming_carry)
     A, B, Z, X, Y = _registers(layout)
-    aw, bw, lo = _positions(A, B, Y)
-    gw = _carry_homes(layout)
-    rounds = PaddedRounds(m, gw, bw, X[n - 1:].__getitem__)
+    Ap, Bp, lo = _positions(A, B, Y)
+    G = _carry_homes(layout)
+    out = G[1:]  # position i's carry-out wire
+    rounds = PaddedRounds(m, G, Bp, X[n - 1:])
 
-    gates: list[Gate] = [not_(a, "negate") for a in A]
-    gates += [ccx(aw(i), bw(i), gw(i + 1), "init") for i in range(lo, m)]
-    gates += [cnot(aw(i), bw(i), "init") for i in range(1, m)]
+    negate_a = [*map(not_, A, repeat("negate"))]
+    gates = negate_a + [*map(ccx, Ap[lo:m], Bp[lo:m], out[lo:m],
+                             repeat("init"))]
+    gates += map(cnot, Ap[1:m], Bp[1:m], repeat("init"))
     gates += levelize(rounds.p_gates + rounds.g_gates)
     top = rounds.carry0_wire
     un_g = [g for g in reversed(rounds.g_gates) if g.target != top]
     gates += levelize(retag(un_g, "fixup") + rounds.pinv)
-    fix = [cnot(aw(i), bw(i), "fixup") for i in range(1, m)]
-    erase = [ccx(aw(i), bw(i), gw(i + 1), "fixup") for i in range(lo, m - 1)]
-    fix, erase = _seal(fix, erase)
-    gates += fix + erase
-    gates += [not_(a, "negate") for a in A]
-    gates += [not_(Z[0], "negate")]
-    return layout, gates
+    fix, erase = _seal([*map(cnot, Ap[1:m], Bp[1:m], repeat("fixup"))],
+                       [*map(ccx, Ap[lo:m - 1], Bp[lo:m - 1], out[lo:m - 1],
+                             repeat("fixup"))])
+    return layout, gates + fix + erase + negate_a + [not_(Z[0], "negate")]
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +370,13 @@ def _mersenne_oop(n: int,
     """
     layout = _layout(n, n, len(padded_cells(n, wrap=True)), False)
     A, B, Z, X, _ = _registers(layout)
-    gw = [*Z, Z[0]].__getitem__  # position n wraps onto the low sum bit
-    rounds = PaddedRounds(n, gw, B.__getitem__, X.__getitem__, wrap=True)
-    gates: list[Gate] = []
-    gates += [ccx(A[i], B[i], gw(i + 1), "init") for i in range(n)]
-    gates += [cnot(A[i], B[i], "init") for i in range(n)]
+    G = [*Z, Z[0]]  # position n wraps onto the low sum bit
+    rounds = PaddedRounds(n, G, B, X, wrap=True)
+    gates = [*map(ccx, A, B, G[1:], repeat("init"))]
+    gates += map(cnot, A, B, repeat("init"))
     gates += _mersenne_rounds(rounds, zero_rep)
-    gates += [cnot(B[i], Z[i], "sum") for i in range(n)]
-    gates += [cnot(A[i], B[i], "fixup") for i in range(n)]
+    gates += map(cnot, B, Z, repeat("sum"))
+    gates += map(cnot, A, B, repeat("fixup"))
     return layout, gates
 
 
@@ -419,13 +419,13 @@ def _mersenne_ip(n: int,
     erases."""
     layout = _layout(n, 0, n + len(padded_cells(n, wrap=True)), False)
     _, B, _, X, _ = _registers(layout)
-    gw = [*X[:n], X[0]].__getitem__
-    rounds = PaddedRounds(n, gw, B.__getitem__, X[n:].__getitem__, wrap=True)
+    G = [*X[:n], X[0]]
+    rounds = PaddedRounds(n, G, B, X[n:], wrap=True)
     other = "zeros" if zero_rep == "ones" else "ones"
     fwd = _mersenne_rounds(rounds, zero_rep)
-    back = _mersenne_rounds(rounds, other)
-    every = range(n)
-    return layout, _in_place(layout, gw, n, fwd, back, sums=every,
+    rev = retag(reversed(_mersenne_rounds(rounds, other)), "Pinv")
+    every = slice(n)
+    return layout, _in_place(layout, G, n, fwd, rev, sums=every,
                              erase=every, fixes=every)
 
 

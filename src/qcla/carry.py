@@ -15,16 +15,20 @@ Four round families build and then uncompute the tree:
 
 ``network_gates`` emits the whole tree over caller-chosen wires, and
 ``build_carry_network`` wraps it as the standalone ``carry-network``
-circuit.  ``PaddedRounds`` makes the rounds of a width padded up to a
-power of two with constant propagate-1 / generate-0 positions (never
-materialized as wires), and wraparound carries for end-around addition.
+circuit.  Callers give the wires as lists indexed by position (carry
+position ``j``, propagate position ``i``, slot ``s``), so each round is
+one ``map`` of ``ccx`` over strided slices of them.  ``PaddedRounds``
+makes the rounds of a width padded up to a power of two with constant
+propagate-1 / generate-0 positions (never materialized as wires), and
+wraparound carries for end-around addition.
 Ancilla registers are sized by counting the cells a tree enumerates
 (``tree_cells``, ``padded_cells``), never by the paper's closed forms.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import repeat
+from typing import Sequence
 
 from .core import (
     Barrier,
@@ -39,9 +43,6 @@ from .core import (
     levelize,
     retag,
 )
-
-# position -> flat wire index; a list's ``__getitem__`` serves as one
-WireFn = Callable[[int], int]
 
 
 def floor_log2(n: int) -> int:
@@ -64,33 +65,51 @@ def tree_cells(n: int) -> list[tuple[int, int]]:
             for m in range(1, n >> t)]
 
 
-def network_gates(n: int, slot: WireFn, gw: WireFn, pw: WireFn) -> list[Gate]:
+def network_gates(n: int, slots: Sequence[int], G: Sequence[int | None],
+                  P: Sequence[int], phase: str | None = None) -> list[Gate]:
     """The full carry tree: P-rounds, G-rounds, C-rounds, inverse P-rounds.
 
-    ``gw(j)`` maps carry position ``j`` (1-based) to a wire, ``pw(i)`` maps
-    position-propagate index ``i`` to a wire, and ``slot(s)`` is the wire
-    of the ``s``-th cell of ``tree_cells(n)``.  Width 0 is the empty tree.
-    Gates come back in dependency-level order (see ``levelize``), which overlaps rounds of
-    different families -- e.g. P-round ``t + 1`` runs beside G-round ``t``
-    -- so that in-order slicing reaches the tree's true depth of
-    ``floor(log n) + floor(log(n/3)) + 3``.
+    ``G[j]`` is the wire of carry position ``j`` (1-based; ``G[0]`` is
+    never read), ``P[i]`` the wire of position-propagate index ``i``
+    (``P[0]`` is never read), and ``slots[s]`` the wire of the ``s``-th
+    cell of ``tree_cells(n)``.  Width 0 is the empty tree.  With ``phase``
+    every gate takes that tag in place of its round's, and the inverse
+    P-rounds are the P-round gates themselves.
+
+    Gates come back in dependency-level order (see ``levelize``), which
+    overlaps rounds of different families -- e.g. P-round ``t + 1`` runs
+    beside G-round ``t`` -- so that in-order slicing reaches the tree's
+    true depth of ``floor(log n) + floor(log(n/3)) + 3``.
     """
-    k = n.bit_length() - 1  # floor(log2 n)
-    cells = tree_cells(n)
-    # (t, m) -> the wire of P_t[m]: position propagates, then the slots
-    p = {(0, i): pw(i) for i in range(n)}
-    p.update((cell, slot(s)) for s, cell in enumerate(cells))
-    p_gates = [ccx(p[t - 1, 2 * m], p[t - 1, 2 * m + 1], p[t, m], "P")
-               for t, m in cells]
-    g_gates = [ccx(gw((m << t) + (1 << (t - 1))), p[t - 1, 2 * m + 1],
-                   gw((m << t) + (1 << t)), "G")
-               for t in range(1, k + 1) for m in range(n >> t)]
+    # rows[t][m] is the wire of P_t[m]: position propagates, then the slots
+    # of each t >= 1, whose P_t[0] has no slot
+    rows: list[Sequence[int | None]] = [P[:n]]
+    s = 0
+    for t in range(1, n.bit_length() - 1):
+        c = (n >> t) - 1
+        rows.append([None, *slots[s:s + c]])
+        s += c
+    if len(G) <= n or len(P) < n or len(slots) < s:
+        raise InternalConsistencyError("wire lists shorter than the tree")
+    p_tag, g_tag, c_tag = (phase,) * 3 if phase else ("P", "G", "C")
+    # each map stops at its last row slice, which holds exactly the round;
+    # the longer G slices may run past it
+    p_gates: list[Gate] = []
+    for t in range(1, len(rows)):
+        p_gates += map(ccx, rows[t - 1][2::2], rows[t - 1][3::2], rows[t][1:],
+                       repeat(p_tag))
+    g_gates: list[Gate] = []
+    for t in range(1, len(rows) + 1):
+        h = 1 << (t - 1)
+        g_gates += map(ccx, G[h::2 * h], rows[t - 1][1::2], G[2 * h::2 * h],
+                       repeat(g_tag))
     # the largest C-round t has 3 * 2^(t-1) <= n
-    c_gates = [ccx(gw(m << t), p[t - 1, 2 * m],
-                   gw((m << t) + (1 << (t - 1))), "C")
-               for t in range((n // 3).bit_length(), 0, -1)
-               for m in range(1, ((n - (1 << (t - 1))) >> t) + 1)]
-    pinv = retag(reversed(p_gates), "Pinv")
+    c_gates: list[Gate] = []
+    for t in range((n // 3).bit_length(), 0, -1):
+        h = 1 << (t - 1)
+        c_gates += map(ccx, G[2 * h::2 * h], rows[t - 1][2::2],
+                       G[3 * h::2 * h], repeat(c_tag))
+    pinv = p_gates[::-1] if phase else retag(reversed(p_gates), "Pinv")
     return levelize(p_gates + g_gates + c_gates + pinv)
 
 
@@ -111,8 +130,7 @@ def build_carry_network(n: int) -> Circuit:
         ]
     )
     B, Z, X = (layout.indices(r) for r in "BZX")
-    gates = network_gates(n, X.__getitem__, [-1, *Z].__getitem__,
-                          B.__getitem__)
+    gates = network_gates(n, X, [None, *Z], B)
     # rounds overlap in the emitted order, so each barrier marks where its
     # round family first contributes; phase tags identify the members
     barriers = []
@@ -146,31 +164,32 @@ class PaddedRounds:
     wire of their lower half, and only genuinely mixed intervals get an
     ancilla slot and a Toffoli.
 
-    The constructor makes each round once, as attributes that callers
-    share and do not mutate: ``p_gates``, ``pinv`` (the same reversed and
-    tagged ``Pinv``), ``g_gates`` with ``g_round_ends`` (the gate count
-    after each round ``t``), and ``carry0_wire``, which ends up holding
-    ``g[0, N)`` (always the position-``n`` carry wire).
+    ``G``, ``P`` and ``slots`` are wire lists as for ``network_gates``,
+    with ``slots`` in ``padded_cells`` order.  The constructor makes each
+    round once, as attributes that callers share and do not mutate:
+    ``p_gates``, ``pinv`` (the same reversed and tagged ``Pinv``),
+    ``g_gates`` with ``g_round_ends`` (the gate count after each round
+    ``t``), and ``carry0_wire``, which ends up holding ``g[0, N)`` (always
+    the position-``n`` carry wire).
 
     With ``wrap=True`` the tree also maintains the full-prefix propagate
-    values ``p[0, 2^t)`` (slots ``(t, 0)``, fed from ``pw(0)``), and makes
+    values ``p[0, 2^t)`` (slots ``(t, 0)``, fed from ``P[0]``), and makes
     ``fold_controls``, the two wires whose AND is ``p[0, N)``, and the
     C-rounds ``c_gates``, which produce end-around carries: ``c_j = g[0, j)
     XOR c_0 * p[0, j)`` where ``c_0`` is whatever ``carry0_wire`` holds
     after the G-rounds.
     """
 
-    def __init__(self, n: int, gw: WireFn, pw: WireFn,
-                 slot_wires: WireFn, wrap: bool = False):
+    def __init__(self, n: int, G: Sequence[int | None], P: Sequence[int],
+                 slots: Sequence[int], wrap: bool = False):
         if n < 2:
             raise CircuitError(f"padded rounds need n >= 2, got {n}")
         self.n = n
         self.k = ceil_log2(n)
         self.N = 1 << self.k
-        self.gw = gw
-        self.pw = pw
-        self.slots = {cell: slot_wires(s)
-                      for s, cell in enumerate(padded_cells(n, wrap))}
+        self.G = G
+        self.P = P
+        self.slots = dict(zip(padded_cells(n, wrap), slots))
         self.p_gates = self._p_rounds()
         self.pinv = retag(reversed(self.p_gates), "Pinv")
         self.g_gates, self.g_round_ends, self.carry0_wire = self._g_rounds()
@@ -182,7 +201,7 @@ class PaddedRounds:
     def resolve_p(self, t: int, m: int) -> int | object:
         """Wire (or constant-1 marker) holding ``p[2^t * m, 2^t * (m+1))``."""
         if t == 0:
-            return _CONST1 if m >= self.n else self.pw(m)
+            return _CONST1 if m >= self.n else self.P[m]
         lo = m << t
         if lo >= self.n:
             return _CONST1
@@ -202,7 +221,7 @@ class PaddedRounds:
         return gates
 
     def _g_rounds(self) -> tuple[list[Gate], list[int], int]:
-        home: dict[int, int] = {j: self.gw(j) for j in range(1, self.n + 1)}
+        home = dict(enumerate(self.G[1:self.n + 1], 1))
         gates, ends = [], []
         for t in range(1, self.k + 1):
             for m in range(self.N >> t):
@@ -220,17 +239,17 @@ class PaddedRounds:
                 else:
                     gates.append(ccx(home[jc], pv, home[j], "G"))
             ends.append(len(gates))
-        if home[self.N] != self.gw(self.n):
+        if home[self.N] != self.G[self.n]:
             raise InternalConsistencyError("top carry not at position n")
         return gates, ends, home[self.N]
 
     def _c_rounds(self) -> list[Gate]:
-        c0, gw, p = self.carry0_wire, self.gw, self.resolve_p
+        c0, G, p = self.carry0_wire, self.G, self.resolve_p
         gates = []
         for t in range(self.k, 0, -1):
             h = 1 << (t - 1)
             if h < self.n:
-                gates.append(ccx(c0, p(t - 1, 0), gw(h), "C"))
-            gates += [ccx(gw(m << t), p(t - 1, 2 * m), gw((m << t) + h), "C")
+                gates.append(ccx(c0, p(t - 1, 0), G[h], "C"))
+            gates += [ccx(G[m << t], p(t - 1, 2 * m), G[(m << t) + h], "C")
                       for m in range(1, ((self.n - 1 - h) >> t) + 1)]
         return gates

@@ -1,6 +1,7 @@
 """Command-line interface: generate, simulate, inspect, and verify circuits.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 I/O or
+Exit codes: 0 success, 1 verification mismatch, 2 usage error (running
+out of memory, as a width too large to build does, included), 3 I/O or
 parse error.  Integer operands are accepted in decimal or 0x-prefixed
 hex.  Registers store bits least-significant-first; ``--bits`` prints
 values most-significant-bit-first.
@@ -246,6 +247,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # I/O helpers exit directly with their code
         return exc.code if isinstance(exc.code, int) else EXIT_IO
+    except MemoryError:  # a width too large to build is a usage error
+        print("error: out of memory: the circuit is too large for the memory "
+              "available", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain, zip_longest
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .adders import build_variant, variant_fields
@@ -140,9 +141,10 @@ def _operand_bits(variant_id: str, n: int, a: int, b: int,
             for i in range(_width(op, n))]
 
 
-def _carries(g: Sequence[int], p: Sequence[int], c: int) -> Iterator[int]:
+def _carries(g: Iterable[int], p: Iterable[int], c: int) -> Iterator[int]:
     """Yield each position's carry-out column, ``c = g ^ (p & c)`` from
-    carry-in column ``c``; no pass holds every carry."""
+    carry-in column ``c``; no pass holds every carry, and ``g`` may be
+    made as it is read."""
     for gi, pi in zip(g, p):
         c = gi ^ (pi & c)
         yield c
@@ -193,14 +195,16 @@ def _expected_columns(variant_id: str, n: int, a: Sequence[int],
     elif function == "compare":  # a >= b + y: carry of a + ~b + ~y
         s = _ripple(a, [mask ^ x for x in b], mask ^ y)[n:]
     else:  # add-mersenne: a + b + W mod 2^n, W the wrapped carry
+        # p is read three times; the generate columns are made per pass,
+        # so the two passes hold one column list besides the sum
         p = [x ^ z for x, z in zip(a, b)]
-        g = [x & z for x, z in zip(a, b)]
-        for w in _carries(g, p, 0):
+        for w in _carries(map(and_, a, b), p, 0):
             pass  # W is the carry out of the top position
         zeros = zero_rep == "zeros"
         if zeros:  # a + b = 2^n - 1 is zero too, so it wraps
             w |= _all(p, mask)
-        s = [x ^ c for x, c in zip(p, chain([w], _carries(g, p, w)))]
+        carries = _carries(map(and_, a, b), p, w)
+        s = [x ^ c for x, c in zip(p, chain([w], carries))]
         if in_place:
             # b = 0 and b = 2^n - 1 produce the same sum, so a reversible
             # circuit must separate them somewhere: the non-canonical zero

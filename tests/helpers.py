@@ -6,7 +6,9 @@ they permute the basis, the comparator's agreement with its constant-
 propagated padded form, the carry-status algebra the trees rest on, and
 the light cone of a wire.
 ``reference_parse_native`` is the plain line-by-line parser that
-``qcla.textfmt.parse_native`` must agree with, error for error.
+``qcla.textfmt.parse_native`` must agree with, error for error, and
+``reference_seal`` the pairwise scan that ``qcla.adders._seal`` must
+agree with.
 """
 
 from __future__ import annotations
@@ -164,6 +166,30 @@ def constant_propagate(circuit: Circuit,
         Barrier(old_to_new[b.position], b.label) for b in circuit.barriers
     )
     return Circuit(circuit.layout, out, barriers)
+
+
+def reference_seal(copies: list[Gate],
+                   block: list[Gate]) -> tuple[list[Gate], list[Gate]]:
+    """``_seal`` by pairwise set scans: find the head of ``block`` (its
+    leading run of pairwise wire-disjoint gates), then for each head gate
+    in turn look for the first copy sharing a wire with it; move that copy
+    last and that block gate first."""
+    head = 0
+    head_wires: set[int] = set()
+    for g in block:
+        wires = set(g.wires)
+        if head_wires & wires:
+            break
+        head_wires |= wires
+        head += 1
+    for bi in range(head):
+        wires = set(block[bi].wires)
+        for ci, c in enumerate(copies):
+            if wires & set(c.wires):
+                copies = copies[:ci] + copies[ci + 1:] + [c]
+                block = [block[bi]] + block[:bi] + block[bi + 1:]
+                return copies, block
+    return copies, block
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import qcla.adders
+import qcla.carry
 import qcla.core
 from qcla import (
     AdderRequest,
@@ -13,7 +17,13 @@ from qcla import (
     request_for,
     resource_report,
 )
-from qcla.adders import FUNCTIONS, VARIANTS, _mersenne_rounds, variant_fields
+from qcla.adders import (
+    FUNCTIONS,
+    VARIANTS,
+    _mersenne_rounds,
+    _seal,
+    variant_fields,
+)
 from qcla.carry import PaddedRounds
 from qcla.core import (
     Circuit,
@@ -21,12 +31,16 @@ from qcla.core import (
     RegisterLayout,
     Role,
     ccx,
+    cnot,
     count_toffoli_slices,
     levelize,
+    not_,
     retag,
     schedule_asap,
 )
 from qcla.sim import run_operands
+
+from helpers import reference_seal
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +224,55 @@ def test_each_build_makes_its_padded_rounds_once(vid, monkeypatch):
     assert len(made) == vid.startswith(("compare", "mersenne-"))
 
 
+@pytest.mark.parametrize("vid", VARIANTS)
+def test_each_build_makes_only_the_gates_it_keeps(vid, monkeypatch):
+    # the in-place adders once made their back tree with round tags and
+    # copied it to Pinv: add-ip at n = 64 made 1112 gates and kept 894
+    made = []
+
+    def counted(make):
+        def make_and_count(*args):
+            made.append(make(*args))
+            return made[-1]
+        return make_and_count
+
+    def counted_retag(gates, phase):
+        out = retag(gates, phase)
+        made.extend(out)
+        return out
+
+    for module in (qcla.adders, qcla.carry):
+        for name in ("ccx", "cnot", "not_"):
+            if hasattr(module, name):  # carry.py makes only Toffolis
+                monkeypatch.setattr(module, name,
+                                    counted(getattr(qcla.core, name)))
+        monkeypatch.setattr(module, "retag", counted_retag)
+    # the other representation's fold Toffoli, made for the back tree of
+    # mersenne-ip-ones, is kept only as its Pinv copy
+    copied = vid == "mersenne-ip-ones"
+    for n in (9, 64):
+        made.clear()
+        kept = {*map(id, build_variant(vid, n).gates)}
+        assert len(made) == len(kept) + copied, n
+        assert len({*map(id, made)} - kept) == copied, n
+
+
+def gates_on(lo: int) -> st.SearchStrategy:
+    """NOT, CNOT or Toffoli gates on wires ``lo..lo + 11``."""
+    wires = st.lists(st.integers(lo, lo + 11), min_size=1, max_size=3,
+                     unique=True)
+    return wires.map(lambda ws: (not_, cnot, ccx)[len(ws) - 1](*ws))
+
+
+@given(st.data())
+def test_seal_matches_the_pairwise_reference(data):
+    # block wires from 12 on are disjoint from every copy's
+    lo = data.draw(st.sampled_from([0, 6, 12]))
+    copies = data.draw(st.lists(gates_on(0), max_size=8))
+    block = data.draw(st.lists(gates_on(lo), max_size=8))
+    assert _seal(copies, block) == reference_seal(copies, block)
+
+
 # ---------------------------------------------------------------------------
 # The one-pass Mersenne fold
 
@@ -243,8 +306,8 @@ def test_one_pass_fold_matches_the_candidate_search(n):
     carries = [*range(n, 2 * n), n]
 
     def fresh_rounds():
-        return PaddedRounds(n, carries.__getitem__, lambda i: i,
-                            lambda s: 2 * n + s, wrap=True)
+        return PaddedRounds(n, carries, range(n), range(2 * n, 4 * n),
+                            wrap=True)
 
     rounds = fresh_rounds()
     assert _mersenne_rounds(rounds, "zeros") == fold_by_search(rounds, n)

@@ -8,8 +8,10 @@ from qcla.carry import (
     build_carry_network,
     ceil_log2,
     floor_log2,
+    network_gates,
     tree_cells,
 )
+from qcla.core import InternalConsistencyError
 from qcla.formulas import log_third, popcount
 from qcla.sim import exhaustive_check
 
@@ -17,6 +19,18 @@ from qcla.sim import exhaustive_check
 def test_width_must_be_positive():
     with pytest.raises(CircuitError):
         build_carry_network(0)
+
+
+def test_network_gates_refuses_wire_lists_shorter_than_the_tree():
+    # each round maps over slices of the lists, which would end early
+    # instead of raising IndexError
+    n, cells = 12, len(tree_cells(12))
+    G, P, slots = range(1, n + 2), range(20, 20 + n), range(40, 40 + cells)
+    assert (len(network_gates(n, slots, G, P))
+            == len(build_carry_network(n).gates))
+    for short in ((slots[1:], G, P), (slots, G[1:], P), (slots, G, P[1:])):
+        with pytest.raises(InternalConsistencyError):
+            network_gates(n, *short)
 
 
 def test_log_helpers():

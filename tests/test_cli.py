@@ -332,6 +332,24 @@ def test_one_process_answers_as_separate_processes_do(capsys):
     assert [code for code, _, _ in in_process] == [0, 2, 0]
 
 
+def test_a_width_too_large_to_build_is_a_usage_error():
+    # under an address-space limit these printed a MemoryError traceback
+    # and exited 1, the mismatch code; the limit binds the child alone
+    pytest.importorskip("resource")
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (160 << 20, 160 << 20))\n"
+             "from qcla.cli import main\n"
+             "print(main(['gen', '--circuit', 'add', '--n', '1000000000']),\n"
+             "      main(['verify', '--family', 'add', '--range',\n"
+             "            '1000000000..1000000000']))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(qcla.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stdout == "2 2\n", proc.stderr
+    assert proc.stderr.count("error: out of memory") == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_qasm_format_output(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "a.qasm", "--circuit", "add", "--n", "4",
                     "--format", "qasm")

@@ -12,8 +12,10 @@ root::
 
 The native text drops phase tags, so ``PHASE_DIGEST`` pins them apart: one
 SHA-256 over every gate's ``(kind, controls, target, phase)`` and every
-barrier, for each variant at each valid width 1..16 and at 64.  A change
-that retags gates on purpose updates it by hand.
+barrier, for each variant at each valid width 1..16 and at 64.
+``WIDE_PHASE_DIGEST`` is the same digest at widths above 64 that are not
+powers of two, where a tree's rounds end in partial strides.  A change
+that retags gates on purpose updates them by hand.
 """
 
 import hashlib
@@ -28,6 +30,9 @@ GOLDEN = Path(__file__).with_name("golden_digests.json")
 SMALL_TOP = 6
 PHASE_DIGEST = ("c057e82d730fa4d18a0b196a3ca5e836"
                 "8b2c2480a15ec9f1754e6de8383e5b57")
+WIDE_WIDTHS = (65, 100, 127, 129, 255, 257, 1000)
+WIDE_PHASE_DIGEST = ("95fe3eb4f1f892b5c0a6a5b33c9435ea"
+                     "b51bfca2f60ece3a2a36ead32ebbd896")
 
 
 def small_pairs() -> list[tuple[str, int]]:
@@ -54,10 +59,12 @@ def test_small_width_digests_match():
     assert not bad, f"circuits differ from the golden digests: {bad}"
 
 
-def phase_digest() -> str:
+def phase_digest(widths=None) -> str:
+    """One SHA-256 over the phase-tagged gates and the barriers of every
+    variant at ``widths`` (by default its valid widths 1..16 and 64)."""
     digest = hashlib.sha256()
     for v in VARIANTS:
-        for n in valid_small_widths(v, 16) + [64]:
+        for n in widths or valid_small_widths(v, 16) + [64]:
             circuit = build_variant(v, n)
             for kind, controls, target, phase in circuit.gates:
                 digest.update(repr((kind.value, controls, target,
@@ -68,6 +75,10 @@ def phase_digest() -> str:
 
 def test_phase_tags_and_barriers_match():
     assert phase_digest() == PHASE_DIGEST
+
+
+def test_phase_tags_and_barriers_match_above_64():
+    assert phase_digest(WIDE_WIDTHS) == WIDE_PHASE_DIGEST
 
 
 def test_table_covers_exactly_the_checked_pairs():

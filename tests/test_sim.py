@@ -1,5 +1,6 @@
 """Reversible simulation, oracles, and the carry-status algebra."""
 
+import random
 import re
 import tracemalloc
 from itertools import product
@@ -26,6 +27,7 @@ from qcla import (
 from qcla.adders import variant_fields
 from qcla.core import GateKind, ccx, cnot, not_
 from qcla.sim import (
+    _expected_columns,
     columns_to_values,
     input_registers,
     stride_column,
@@ -186,6 +188,21 @@ def test_run_operands_memory_follows_the_registers_not_their_bits():
             tracemalloc.stop()
     assert out == [{**run_operands(base, "add-oop", 5, 7), "W": 0}, None]
     assert max(peaks) < 1 << 20, peaks
+
+
+def test_mersenne_oracle_holds_one_column_list_besides_the_sum():
+    # it once held the generate columns as a list too: a 3.7 MiB peak here
+    rng = random.Random(24)
+    a, b = ([rng.getrandbits(2048) for _ in range(4096)] for _ in "ab")
+    tracemalloc.start()
+    try:
+        out = _expected_columns("mersenne-oop-ones", 4096, a, b, 0,
+                                (1 << 2048) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out["Z"]) == 4096
+    assert peak < 3 << 20, peak
 
 
 def test_exhaustive_guard():
