@@ -15,12 +15,13 @@ Four round families build and then uncompute the tree:
 
 ``network_gates`` emits the whole tree over caller-chosen wires, and
 ``build_carry_network`` wraps it as the standalone ``carry-network``
-circuit.  Callers give the wires as lists indexed by position (carry
-position ``j``, propagate position ``i``, slot ``s``), so each round is
-one ``map`` of ``ccx`` over strided slices of them.  ``PaddedRounds``
-makes the rounds of a width padded up to a power of two with constant
-propagate-1 / generate-0 positions (never materialized as wires), and
-wraparound carries for end-around addition.
+circuit.  ``PaddedRounds`` makes the rounds of a width padded up to a
+power of two with constant propagate-1 / generate-0 positions (never
+materialized as wires), and wraparound carries for end-around addition.
+Callers give the wires as lists indexed by position (carry position
+``j``, propagate position ``i``, slot ``s``).  Both trees fill one row of
+wires per level, ``rows[t][m]`` for ``P_t[m]``, so each round is one
+``map`` of ``ccx`` over strided slices of the rows and the carry wires.
 Ancilla registers are sized by counting the cells a tree enumerates
 (``tree_cells``, ``padded_cells``), never by the paper's closed forms.
 """
@@ -152,17 +153,16 @@ def padded_cells(n: int, wrap: bool = False) -> list[tuple[int, int]]:
             if m == 0 or (m << t) + (1 << (t - 1)) < n]
 
 
-_CONST1 = object()
-
-
 class PaddedRounds:
     """Carry-tree rounds over ``n`` real positions padded to ``N = 2^k``.
 
-    Padding positions (``>= n``) carry constant propagate 1 / generate 0 and
-    are folded away at generation time: interval values that are entirely
-    padding become constants, intervals whose upper half is padding alias the
-    wire of their lower half, and only genuinely mixed intervals get an
-    ancilla slot and a Toffoli.
+    Padding positions (``>= n``) carry constant propagate 1 / generate 0.
+    They are folded away once, while the rows are filled as in
+    ``network_gates`` (``None`` marks a constant 1): an interval whose upper
+    half is padding takes the wire of its lower half, so one that is all
+    padding stays constant, and every other interval takes the next slot
+    and one Toffoli.  G-rounds carry the position-``n`` wire up through the
+    constant intervals.
 
     ``G``, ``P`` and ``slots`` are wire lists as for ``network_gates``,
     with ``slots`` in ``padded_cells`` order.  The constructor makes each
@@ -172,8 +172,8 @@ class PaddedRounds:
     ``t``), and ``carry0_wire``, which ends up holding ``g[0, N)`` (always
     the position-``n`` carry wire).
 
-    With ``wrap=True`` the tree also maintains the full-prefix propagate
-    values ``p[0, 2^t)`` (slots ``(t, 0)``, fed from ``P[0]``), and makes
+    With ``wrap=True`` the tree also fills the full-prefix propagate values
+    ``P_t[0] = p[0, 2^t)`` (never read without it), and makes
     ``fold_controls``, the two wires whose AND is ``p[0, N)``, and the
     C-rounds ``c_gates``, which produce end-around carries: ``c_j = g[0, j)
     XOR c_0 * p[0, j)`` where ``c_0`` is whatever ``carry0_wire`` holds
@@ -184,72 +184,45 @@ class PaddedRounds:
                  slots: Sequence[int], wrap: bool = False):
         if n < 2:
             raise CircuitError(f"padded rounds need n >= 2, got {n}")
-        self.n = n
-        self.k = ceil_log2(n)
-        self.N = 1 << self.k
-        self.G = G
-        self.P = P
-        self.slots = dict(zip(padded_cells(n, wrap), slots))
-        self.p_gates = self._p_rounds()
-        self.pinv = retag(reversed(self.p_gates), "Pinv")
-        self.g_gates, self.g_round_ends, self.carry0_wire = self._g_rounds()
-        if wrap:
-            self.c_gates = self._c_rounds()
-            self.fold_controls = (self.resolve_p(self.k - 1, 0),
-                                  self.resolve_p(self.k - 1, 1))
-
-    def resolve_p(self, t: int, m: int) -> int | object:
-        """Wire (or constant-1 marker) holding ``p[2^t * m, 2^t * (m+1))``."""
-        if t == 0:
-            return _CONST1 if m >= self.n else self.P[m]
-        lo = m << t
-        if lo >= self.n:
-            return _CONST1
-        if m != 0 and lo + (1 << (t - 1)) >= self.n:
-            return self.resolve_p(t - 1, 2 * m)
-        return self.slots[(t, m)]
-
-    def _p_rounds(self) -> list[Gate]:
-        gates = []
-        for (t, m), wire in self.slots.items():
-            lo = self.resolve_p(t - 1, 2 * m)
-            hi = self.resolve_p(t - 1, 2 * m + 1)
-            if lo is _CONST1 or hi is _CONST1:
-                raise InternalConsistencyError(
-                    "constant operand for a materialized interval slot")
-            gates.append(ccx(lo, hi, wire, "P"))
-        return gates
-
-    def _g_rounds(self) -> tuple[list[Gate], list[int], int]:
-        home = dict(enumerate(self.G[1:self.n + 1], 1))
-        gates, ends = [], []
-        for t in range(1, self.k + 1):
-            for m in range(self.N >> t):
-                j = (m << t) + (1 << t)
-                jc = j - (1 << (t - 1))
-                pv = self.resolve_p(t - 1, 2 * m + 1)
-                if pv is _CONST1:
-                    cv = home.get(jc)
-                    if cv is None:
-                        continue  # control is constant 0
-                    if home.get(j) is not None:
-                        raise InternalConsistencyError(
-                            "padding alias onto a live carry value")
-                    home[j] = cv
-                else:
-                    gates.append(ccx(home[jc], pv, home[j], "G"))
-            ends.append(len(gates))
-        if home[self.N] != self.G[self.n]:
+        k = ceil_log2(n)
+        N = 1 << k
+        self.n, self.N = n, N
+        # the intervals P_t[m] whose upper half starts below n are those of
+        # m < live[t]: the ones round t makes (P) or reads (G, C)
+        live = [((n - 1 - (1 << t >> 1)) >> t) + 1 for t in range(k + 1)]
+        first = 0 if wrap else 1
+        rows: list[list[int | None]] = [[*P[:n], *repeat(None, N - n)]]
+        s = 0
+        self.p_gates = p_gates = []
+        for t in range(1, k):
+            below, c = rows[-1], live[t]
+            made = slots[s:s + c - first]  # each map stops at its end
+            s += c - first
+            p_gates += map(ccx, below[2 * first::2], below[2 * first + 1::2],
+                           made, repeat("P"))
+            rows.append([*repeat(None, first), *made, *below[2 * c::2]])
+        if len(G) <= n or len(P) < n or len(slots) < s:
+            raise InternalConsistencyError("wire lists shorter than the tree")
+        self.pinv = retag(reversed(p_gates), "Pinv")
+        # home[j] is the wire of carry position j; past n it is the
+        # position-n wire where that has moved up, None elsewhere
+        home = [*G[:n + 1], *repeat(None, N - n)]
+        self.g_gates, self.g_round_ends = g_gates, ends = [], []
+        for t in range(1, k + 1):
+            h, c = 1 << (t - 1), live[t]
+            g_gates += map(ccx, home[h::2 * h], rows[t - 1][1:2 * c:2],
+                           home[2 * h::2 * h], repeat("G"))
+            # upper halves from live[t] on are padding: the carry moves up
+            home[(2 * c + 2) * h::2 * h] = home[(2 * c + 1) * h::2 * h]
+            ends.append(len(g_gates))
+        if home[N] != G[n]:
             raise InternalConsistencyError("top carry not at position n")
-        return gates, ends, home[self.N]
-
-    def _c_rounds(self) -> list[Gate]:
-        c0, G, p = self.carry0_wire, self.G, self.resolve_p
-        gates = []
-        for t in range(self.k, 0, -1):
-            h = 1 << (t - 1)
-            if h < self.n:
-                gates.append(ccx(c0, p(t - 1, 0), G[h], "C"))
-            gates += [ccx(G[m << t], p(t - 1, 2 * m), G[(m << t) + h], "C")
-                      for m in range(1, ((self.n - 1 - h) >> t) + 1)]
-        return gates
+        c0 = self.carry0_wire = home[N]
+        if wrap:
+            self.c_gates = c_gates = []
+            for t in range(k, 0, -1):
+                h, c = 1 << (t - 1), live[t]
+                c_gates += map(ccx, [c0, *G[2 * h::2 * h]],
+                               rows[t - 1][:2 * c:2], G[h::2 * h],
+                               repeat("C"))
+            self.fold_controls = rows[k - 1][:2]

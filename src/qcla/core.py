@@ -154,17 +154,31 @@ class Register:
     role: Role
 
 
+def _is_name(text: str) -> bool:
+    """Whether ``text`` is a register name, ``[A-Za-z_][A-Za-z0-9_]*``."""
+    return (text.isascii() and text.replace("_", "a").isalnum()
+            and not text[0].isdigit())
+
+
 class RegisterLayout:
-    """An ordered set of uniquely named registers."""
+    """An ordered set of uniquely named registers, each of which the text
+    format can write back: a name ``[A-Za-z_][A-Za-z0-9_]*``, an ``int``
+    size ``>= 0`` and a :class:`Role`."""
 
     def __init__(self, registers: Iterable[Register]):
         regs = tuple(registers)
+        for r in regs:
+            if type(r.name) is not str or not _is_name(r.name):
+                raise CircuitError(f"bad register name {r.name!r}")
+            if type(r.size) is not int or r.size < 0:
+                raise CircuitError(f"register {r.name} has size {r.size!r},"
+                                   f" not an int >= 0")
+            if type(r.role) is not Role:
+                raise CircuitError(f"register {r.name} has role {r.role!r},"
+                                   f" not a Role")
         names = [r.name for r in regs]
         if len(set(names)) != len(names):
             raise CircuitError(f"duplicate register names in {names}")
-        for r in regs:
-            if r.size < 0:
-                raise CircuitError(f"register {r.name} has negative size")
         carry_ins = [r for r in regs if r.role is Role.CARRY_IN]
         if len(carry_ins) > 1 or any(r.size > 1 for r in carry_ins):
             raise CircuitError("at most one carry-in register of size <= 1")

@@ -34,6 +34,7 @@ from .core import (
     Register,
     RegisterLayout,
     Role,
+    _is_name,
     ccx,
     cnot,
     not_,
@@ -97,12 +98,6 @@ def emit_native(circuit: Circuit, header_comments: list[str] | None = None) -> s
 
 class _BadLine(Exception):
     """A malformed line; the parser adds its line number."""
-
-
-def _is_name(text: str) -> bool:
-    """Whether ``text`` is a register name, ``[A-Za-z_][A-Za-z0-9_]*``."""
-    return (text.isascii() and text.replace("_", "a").isalnum()
-            and not text[0].isdigit())
 
 
 class _WireIndex(dict):

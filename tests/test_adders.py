@@ -24,7 +24,7 @@ from qcla.adders import (
     _seal,
     variant_fields,
 )
-from qcla.carry import PaddedRounds
+from qcla.carry import PaddedRounds, padded_cells
 from qcla.core import (
     Circuit,
     Register,
@@ -286,7 +286,8 @@ def fold_by_search(rounds: PaddedRounds, wrap_wire: int) -> list:
     c_fw = rounds.c_gates
     p_bw = retag(reversed(p_fw), "Pinv")
     extra = ccx(*rounds.fold_controls, wrap_wire, "C")
-    layout = RegisterLayout([Register("W", 2 * rounds.n + len(rounds.slots),
+    slots = len(padded_cells(rounds.n, wrap=True))
+    layout = RegisterLayout([Register("W", 2 * rounds.n + slots,
                                       Role.ANCILLA)])
 
     def toffoli_slices(order):

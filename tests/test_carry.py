@@ -1,14 +1,19 @@
-"""Standalone carry-computation network: counts, depth, semantics."""
+"""Standalone carry-computation network: counts, depth, semantics; the
+padded rounds."""
+
+import hashlib
 
 import pytest
 
 from conftest import gc_boundary_ok
 from qcla import CircuitError, build_variant, resource_report
 from qcla.carry import (
+    PaddedRounds,
     build_carry_network,
     ceil_log2,
     floor_log2,
     network_gates,
+    padded_cells,
     tree_cells,
 )
 from qcla.core import InternalConsistencyError
@@ -87,3 +92,52 @@ def test_exhaustive_carries(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gc_boundary_small(n):
     assert gc_boundary_ok(n)
+
+
+# ---------------------------------------------------------------------------
+# Padded rounds
+
+# one SHA-256 over every round, the G-round ends and the wires the adders
+# read, made before the rounds were rewritten over position-indexed rows
+PADDED_WIDTHS = (*range(2, 601), 1023, 1024, 1025, 2047, 2048, 2049, 4095,
+                 4096, 4097)
+PADDED_DIGEST = ("c84eb1a7d6577fc9afd15beaab929ec2"
+                 "7c6285615a39f06134a885a1f6d0aae4")
+
+
+def padded_rounds(n, wrap, cut=""):
+    """Rounds with propagates on ``0..n-1``, carries on ``n..2n-1``
+    (position ``n`` on wire ``n``, as if wrapped to position 0) and slots
+    from ``2n``; ``cut`` names the one list that ends a wire early."""
+    lists = {"G": [*range(n, 2 * n), n], "P": range(n),
+             "slots": range(2 * n, 2 * n + len(padded_cells(n, wrap)))}
+    if cut:
+        lists[cut] = lists[cut][:-1]
+    return PaddedRounds(n, lists["G"], lists["P"], lists["slots"], wrap)
+
+
+def test_padded_rounds_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for wrap in (False, True):
+        for n in PADDED_WIDTHS:
+            r = padded_rounds(n, wrap)
+            # padded_cells sizes the slot register: one P gate per slot
+            assert len(r.p_gates) == len(padded_cells(n, wrap)), (n, wrap)
+            gates = r.p_gates + r.pinv + r.g_gates
+            tail = [r.g_round_ends, r.carry0_wire]
+            if wrap:
+                gates += r.c_gates
+                tail.append(tuple(r.fold_controls))
+            for kind, controls, target, phase in gates:
+                digest.update(repr((kind.value, controls, target,
+                                    phase)).encode())
+            digest.update(repr(tail).encode())
+    assert digest.hexdigest() == PADDED_DIGEST
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+@pytest.mark.parametrize("cut", ["G", "P", "slots"])
+def test_padded_rounds_refuse_wire_lists_shorter_than_the_tree(wrap, cut):
+    padded_rounds(9, wrap)
+    with pytest.raises(InternalConsistencyError):
+        padded_rounds(9, wrap, cut)

@@ -13,6 +13,7 @@ from helpers import reference_parse_native
 from qcla import (
     Barrier,
     Circuit,
+    CircuitError,
     ParseError,
     Register,
     RegisterLayout,
@@ -92,6 +93,38 @@ def test_parse_error_carries_line_number():
         parse_native("reg A 2 input-a\n\nbogus A[0]\n")
     assert exc.value.lineno == 3
     assert "line 3" in str(exc.value)
+
+
+@pytest.mark.parametrize("name,size,role", [
+    ("a b", 2, Role.INPUT_A),  # would be written "reg a b 2 input-a"
+    ("X[1]", 2, Role.INPUT_A),
+    ("1A", 2, Role.INPUT_A),
+    ("", 2, Role.INPUT_A),
+    ("\u00e9", 2, Role.INPUT_A),
+    (None, 2, Role.INPUT_A),
+    ("A", True, Role.INPUT_A),
+    ("A", 2.5, Role.INPUT_A),
+    ("A", "3", Role.INPUT_A),
+    ("A", -1, Role.INPUT_A),
+    ("A", 2, "input-a"),
+])
+def test_layout_refuses_registers_the_text_format_cannot_write(name, size,
+                                                               role):
+    with pytest.raises(CircuitError):
+        RegisterLayout([Register(name, size, role)])
+
+
+@given(st.lists(st.tuples(st.text("aZ_9 [\u00e9", max_size=3),
+                          st.one_of(st.integers(-1, 3), st.booleans(),
+                                    st.just(2.0), st.just("2")),
+                          st.sampled_from([*Role, "output"])),
+                max_size=4))
+def test_every_accepted_layout_round_trips(specs):
+    try:
+        layout = RegisterLayout([Register(*spec) for spec in specs])
+    except CircuitError:
+        return
+    assert parse_native(emit_native(Circuit(layout, []))).layout == layout
 
 
 def test_qasm_export_shape():
