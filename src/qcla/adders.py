@@ -146,8 +146,7 @@ def _seal(copies: list[Gate], block: list[Gate]) -> tuple[list[Gate], list[Gate]
 
 
 # phase -> barrier label, where the two differ
-_LABELS = {"P": "network", "G": "network", "C": "network", "Pinv": "network",
-           None: ""}
+_LABELS = {"P": "network", "G": "network", "C": "network", "Pinv": "network"}
 _PHASE = itemgetter(3)
 
 

@@ -137,7 +137,7 @@ def build_carry_network(n: int) -> Circuit:
     barriers = []
     seen: set[str] = set()
     for i, g in enumerate(gates):
-        if g.phase is not None and g.phase not in seen:
+        if g.phase not in seen:
             seen.add(g.phase)
             barriers.append(Barrier(i, g.phase))
     return Circuit(layout, gates, barriers)

@@ -160,6 +160,14 @@ def _is_name(text: str) -> bool:
             and not text[0].isdigit())
 
 
+def _is_label(text: object) -> bool:
+    """Whether ``text`` is a barrier label: a ``str`` that a line of the
+    text format reads back as itself, one token with no whitespace and no
+    ``#``.  The parser splits its lines into such tokens, so every label
+    it reads passes."""
+    return type(text) is str and "#" not in text and text.split() == [text]
+
+
 class RegisterLayout:
     """An ordered set of uniquely named registers, each of which the text
     format can write back: a name ``[A-Za-z_][A-Za-z0-9_]*``, an ``int``
@@ -229,7 +237,8 @@ class Circuit:
     Construction checks what the layout decides, in set passes over the
     gate list: every element is a :class:`Gate` (whose arity and distinct
     ``int`` wires were checked when it was made), and every distinct wire
-    is a flat index of the layout.
+    is a flat index of the layout.  Barrier positions must be ``int`` gate
+    indices in order, and each label one the text format writes back.
     """
 
     def __init__(
@@ -246,10 +255,15 @@ class Circuit:
         self._span = _check_gates(self.gates, layout.total_size)
         last = -1
         for b in self.barriers:
+            if type(b.position) is not int:
+                raise CircuitError(f"barrier position {b.position!r} is not"
+                                   f" an int")
             if not 0 <= b.position <= len(self.gates):
                 raise CircuitError(f"barrier position {b.position} out of range")
             if b.position < last:
                 raise CircuitError("barriers must be in nondecreasing order")
+            if not _is_label(b.label):
+                raise CircuitError(f"bad barrier label {b.label!r}")
             last = b.position
 
     def __len__(self) -> int:

@@ -2,8 +2,11 @@
 
 Each variant has one closed form per resource: its Toffoli, CNOT and NOT
 counts, its ancilla usage, and its Toffoli depth (the number of ASAP
-time-slices containing a Toffoli).  The counts are exact wherever the
-closed forms are defined, which is every width with a circuit except
+time-slices containing a Toffoli).  Each closed form is a sum of carry
+network terms, ``_network``'s ``T(m)``, ``A(m)`` and ``D(m)`` at a tree
+width ``m``, and its family's linear passes; a family form takes the
+arguments of its builder in ``adders.py``.  The counts are exact wherever
+the closed forms are defined, which is every width with a circuit except
 ``n = 1`` of ``add-ip``, ``add-mod2n-oop``, ``add-mod2n-ip`` and
 ``sub-ip``.  The depth is exact from ``n = 5``; below that the carry trees
 degenerate and it is an upper bound.  ``verify_family`` builds circuits,
@@ -14,7 +17,7 @@ diffs measured resources against the closed forms and, at widths up to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .adders import VARIANTS, build_variant
 from .carry import floor_log2
@@ -23,6 +26,8 @@ from .sim import Counterexample, exhaustive_check
 
 DEPTH_EXACT_FROM = 5
 EXHAUSTIVE_UPTO = 8
+# formula_eval's keys, in the order of every family form's values
+_FIELDS = ("toffoli", "cnot", "not", "ancilla", "depth")
 
 
 def popcount(n: int) -> int:
@@ -37,148 +42,95 @@ def log_third(n: int) -> int:
     return floor_log2(n // 3) if n >= 3 else n - 3
 
 
-def _k(n: int) -> int:
-    return floor_log2(n)
+def _network(m: int) -> tuple[int, int, int]:
+    """The width-``m`` carry network's Toffolis ``T(m)``, ancillae ``A(m)``
+    and Toffoli depth ``D(m)``."""
+    k, w = floor_log2(m), popcount(m)
+    return 4 * m - 3 * w - 3 * k - 1, m - w - k, k + log_third(m) + 3
 
 
-def _w(n: int) -> int:
-    return popcount(n)
+def _carry_network(n: int) -> tuple[int, ...]:
+    t, a, d = _network(n)
+    return t, 0, 0, a, d
 
 
-# variant id -> resource -> closed form, in formula_eval's key order
-FORMULAS: dict[str, dict[str, Callable[[int], int]]] = {
-    "carry-network": {
-        "toffoli": lambda n: 4 * n - 3 * _w(n) - 3 * _k(n) - 1,
-        "cnot": lambda n: 0,
-        "not": lambda n: 0,
-        "ancilla": lambda n: n - _w(n) - _k(n),
-        "depth": lambda n: _k(n) + log_third(n) + 3,
-    },
-    "add-oop": {
-        "toffoli": lambda n: 5 * n - 3 * _w(n) - 3 * _k(n) - 1,
-        "cnot": lambda n: 3 * n - 1,
-        "not": lambda n: 0,
-        "ancilla": lambda n: n - _w(n) - _k(n),
-        "depth": lambda n: _k(n) + log_third(n) + 4,
-    },
-    "add-oop-ic": {
-        "toffoli": lambda n: 5 * n - 3 * _w(n + 1) - 3 * _k(n + 1) + 3,
-        "cnot": lambda n: 3 * n + 1,
-        "not": lambda n: 0,
-        "ancilla": lambda n: (n + 1) - _w(n + 1) - _k(n + 1),
-        "depth": lambda n: _k(n + 1) + log_third(n + 1) + 4,
-    },
-    "add-ip": {
-        "toffoli": lambda n: (10 * n - 3 * _w(n) - 3 * _w(n - 1)
-                              - 3 * _k(n) - 3 * _k(n - 1) - 7),
-        "cnot": lambda n: 4 * n - 5,
-        "not": lambda n: 2 * n - 2,
-        "ancilla": lambda n: 2 * n - _w(n) - _k(n) - 1,
-        "depth": lambda n: (_k(n) + _k(n - 1) + log_third(n)
-                            + log_third(n - 1) + 8),
-    },
-    "add-ip-ic": {
-        "toffoli": lambda n: (10 * n - 3 * _w(n) - 3 * _w(n + 1)
-                              - 3 * _k(n) - 3 * _k(n + 1) + 1),
-        "cnot": lambda n: 4 * n - 2,
-        "not": lambda n: 2 * n - 2,
-        "ancilla": lambda n: 2 * n - _w(n + 1) - _k(n + 1),
-        "depth": lambda n: (_k(n) + _k(n + 1) + log_third(n)
-                            + log_third(n + 1) + 8),
-    },
-    "add-mod2n-oop": {
-        "toffoli": lambda n: 5 * n - 3 * _w(n - 1) - 3 * _k(n - 1) - 6,
-        "cnot": lambda n: 3 * n - 2,
-        "not": lambda n: 0,
-        "ancilla": lambda n: (n - 1) - _w(n - 1) - _k(n - 1),
-        "depth": lambda n: _k(n - 1) + log_third(n - 1) + 4,
-    },
-    "add-mod2n-oop-ic": {
-        "toffoli": lambda n: 5 * n - 3 * _w(n) - 3 * _k(n) - 2,
-        "cnot": lambda n: 3 * n,
-        "not": lambda n: 0,
-        "ancilla": lambda n: n - _w(n) - _k(n),
-        "depth": lambda n: _k(n) + log_third(n) + 4,
-    },
-    "add-mod2n-ip": {
-        "toffoli": lambda n: 10 * n - 6 * _w(n - 1) - 6 * _k(n - 1) - 12,
-        "cnot": lambda n: 4 * n - 5,
-        "not": lambda n: 2 * n - 2,
-        "ancilla": lambda n: 2 * n - 2 - _w(n - 1) - _k(n - 1),
-        "depth": lambda n: 2 * _k(n - 1) + 2 * log_third(n - 1) + 8,
-    },
-    "add-mod2n-ip-ic": {
-        "toffoli": lambda n: 10 * n - 6 * _w(n) - 6 * _k(n) - 4,
-        "cnot": lambda n: 4 * n - 2,
-        "not": lambda n: 2 * n - 2,
-        "ancilla": lambda n: 2 * n - _w(n) - _k(n) - 1,
-        "depth": lambda n: 2 * _k(n) + 2 * log_third(n) + 8,
-    },
-    "sub-oop": {
-        "toffoli": lambda n: 5 * n - 3 * _w(n) - 3 * _k(n) - 1,
-        "cnot": lambda n: 3 * n - 1,
-        "not": lambda n: 3 * n + 1,
-        "ancilla": lambda n: n - _w(n) - _k(n),
-        "depth": lambda n: _k(n) + log_third(n) + 4,
-    },
-    "sub-ip": {
-        "toffoli": lambda n: (10 * n - 3 * _w(n) - 3 * _w(n - 1)
-                              - 3 * _k(n) - 3 * _k(n - 1) - 7),
-        "cnot": lambda n: 4 * n - 5,
-        "not": lambda n: 5 * n - 1,
-        "ancilla": lambda n: 2 * n - _w(n) - _k(n) - 1,
-        "depth": lambda n: (_k(n) + _k(n - 1) + log_third(n)
-                            + log_third(n - 1) + 8),
-    },
-    "compare": {
-        "toffoli": lambda n: 6 * n - _w(n - 1) - 2 * _k(n - 1) - 7,
-        "cnot": lambda n: 2 * n - 2,
-        "not": lambda n: 2 * n + 1,
-        "ancilla": lambda n: 2 * n - _k(n - 1) - 3,
-        "depth": lambda n: 2 * _k(n - 1) + 5,
-    },
-    "compare-ic": {
-        "toffoli": lambda n: 6 * n - _w(n) - 2 * _k(n) - 3,
-        "cnot": lambda n: 2 * n,
-        "not": lambda n: 2 * n + 1,
-        "ancilla": lambda n: 2 * n - _k(n) - 2,
-        "depth": lambda n: 2 * _k(n) + 5,
-    },
-    "mersenne-oop-ones": {
-        "toffoli": lambda n: 5 * n - 6,
-        "cnot": lambda n: 3 * n,
-        "not": lambda n: 0,
-        "ancilla": lambda n: n - 2,
-        "depth": lambda n: 2 * _k(n - 1) + 5,
-    },
-    "mersenne-oop-zeros": {
-        "toffoli": lambda n: 5 * n - 5,
-        "cnot": lambda n: 3 * n,
-        "not": lambda n: 0,
-        "ancilla": lambda n: n - 2,
-        "depth": lambda n: _k(n - 1) + log_third(n - 1) + 7,
-    },
+def _out_of_place(n: int, ic: bool, mod2n: bool = False) -> tuple[int, ...]:
+    """One network over the ``s`` sum positions (and the carry-in)."""
+    s = n - mod2n
+    t, a, d = _network(s + ic)
+    return s + t, 3 * n - 1 + 2 * ic - mod2n, 0, a, d + 1
+
+
+def _add_ip(n: int, ic: bool, mod2n: bool = False) -> tuple[int, ...]:
+    """A network forward, one over the ``e`` erased carries backward."""
+    e = n - 1 + ic
+    t, a, d = _network(e + 1 - mod2n)
+    t_back, _, d_back = _network(e)
+    return (t + t_back + 2 * n - 1 - mod2n, 4 * n - 5 + 3 * ic, 2 * n - 2,
+            n - 1 + a, d + d_back + 2)
+
+
+def _sub(n: int, in_place: bool) -> tuple[int, ...]:
+    """The matching adder, with ``A`` and the result negated."""
+    t, c, x, a, d = (_add_ip if in_place else _out_of_place)(n, False)
+    return t, c, x + 3 * n + 1, a, d
+
+
+def _compare(n: int, ic: bool) -> tuple[int, ...]:
+    """The padded tree's rounds on the top carry's path, and their undoing."""
+    m = n - 1 + ic
+    k = floor_log2(m)
+    return (6 * n - popcount(m) - 2 * k - 7 + 4 * ic, 2 * m, 2 * n + 1,
+            2 * m - k - 1 - ic, 2 * k + 5)
+
+
+def _mersenne_oop(n: int, zero_rep: str) -> tuple[int, ...]:
+    """The end-around padded rounds; ``"zeros"`` adds the fold Toffoli."""
+    zeros = zero_rep == "zeros"
+    depth = _network(n - 1)[2] + 4 if zeros else 2 * floor_log2(n - 1) + 5
+    return 5 * n - 6 + zeros, 3 * n, 0, n - 2, depth
+
+
+def _mersenne_ip(n: int) -> tuple[int, ...]:
+    """One representation's rounds forward, the other's backward: either
+    way, the Toffolis and depth of both out-of-place forms."""
+    t_ones, _, _, a, d_ones = _mersenne_oop(n, "ones")
+    t_zeros, _, _, _, d_zeros = _mersenne_oop(n, "zeros")
+    return t_ones + t_zeros, 4 * n, 2 * n, n + a, d_ones + d_zeros
+
+
+# variant id -> (its family form, the form's arguments after n), in
+# VARIANTS' order
+FORMULAS: dict[str, tuple] = {
+    "carry-network": (_carry_network,),
+    "add-oop": (_out_of_place, False),
+    "add-oop-ic": (_out_of_place, True),
+    "add-ip": (_add_ip, False),
+    "add-ip-ic": (_add_ip, True),
+    "add-mod2n-oop": (_out_of_place, False, True),
+    "add-mod2n-oop-ic": (_out_of_place, True, True),
+    "add-mod2n-ip": (_add_ip, False, True),
+    "add-mod2n-ip-ic": (_add_ip, True, True),
+    "sub-oop": (_sub, False),
+    "sub-ip": (_sub, True),
+    "compare": (_compare, False),
+    "compare-ic": (_compare, True),
+    "mersenne-oop-ones": (_mersenne_oop, "ones"),
+    "mersenne-oop-zeros": (_mersenne_oop, "zeros"),
+    "mersenne-ip-ones": (_mersenne_ip,),
+    "mersenne-ip-zeros": (_mersenne_ip,),
 }
 
-_MERSENNE_IP = {
-    "toffoli": lambda n: 10 * n - 11,
-    "cnot": lambda n: 4 * n,
-    "not": lambda n: 2 * n,
-    "ancilla": lambda n: 2 * n - 2,
-    "depth": lambda n: 3 * _k(n - 1) + log_third(n - 1) + 12,
-}
-FORMULAS["mersenne-ip-ones"] = _MERSENNE_IP
-FORMULAS["mersenne-ip-zeros"] = _MERSENNE_IP
-
-assert set(FORMULAS) == set(VARIANTS)
+assert tuple(FORMULAS) == VARIANTS
 
 
 def formula_eval(variant_id: str, n: int) -> dict[str, int]:
     """Every closed form of one variant at width ``n``."""
     if variant_id not in FORMULAS:
         raise CircuitError(f"unknown variant {variant_id!r}")
+    form, *args = FORMULAS[variant_id]
     try:
-        return {key: f(n) for key, f in FORMULAS[variant_id].items()}
+        return dict(zip(_FIELDS, form(n, *args)))
     except CircuitError as exc:
         raise CircuitError(
             f"{variant_id} has no closed form at n={n}: {exc}") from None
@@ -247,12 +199,9 @@ def verify_family(variant_id: str, ns: Iterable[int]) -> list[VerifyResult]:
                                         None, True, str(exc)))
             continue
         report = resource_report(circuit)
-        for field, measured in (
-            ("toffoli", report.toffoli),
-            ("cnot", report.cnot),
-            ("not", report.nots),
-            ("ancilla", report.ancilla_count),
-        ):
+        for field, measured in zip(_FIELDS, (report.toffoli, report.cnot,
+                                             report.nots,
+                                             report.ancilla_count)):
             results.append(VerifyResult(
                 variant_id, n, field, values[field], measured,
                 measured == values[field]))

@@ -255,29 +255,52 @@ def parse_native(text: str) -> Circuit:
     return Circuit(layout, gates, barriers)
 
 
+# OpenQASM 2.0's lowercase reserved words (Cross, Bishop, Smolin and
+# Gambetta, arXiv:1707.03429)
+_QASM_KEYWORDS = frozenset("barrier cos creg exp gate if include ln measure "
+                           "opaque pi qreg reset sin sqrt tan".split())
+
+
+def _qasm_names(registers: list[Register]) -> dict[str, str]:
+    """Register name -> its QASM name: lowercased, with ``r`` before a
+    leading ``_``, and where that is a keyword or already chosen, with
+    ``_<k>`` after it for the first free ``k`` from the number of names
+    chosen so far."""
+    names: dict[str, str] = {}
+    chosen = set(_QASM_KEYWORDS)
+    for r in registers:
+        base = r.name.lower()
+        if base[0] == "_":
+            base = "r" + base
+        name, k = base, len(names)
+        while name in chosen:
+            name = f"{base}_{k}"
+            k += 1
+        names[r.name] = name
+        chosen.add(name)
+    return names
+
+
 def emit_qasm(circuit: Circuit) -> str:
     """Export a circuit as OpenQASM 2.0 (x / cx / ccx over named qregs).
 
-    Register names are lowercased to satisfy QASM identifier rules;
-    zero-sized registers are omitted.  Barriers span all registers.
+    Register names become QASM identifiers as ``_qasm_names`` says: unique,
+    lowercase-led and no keyword; a name that already is one stays as it
+    is.  Zero-sized registers are omitted.  Barriers span all registers
+    and are omitted when no register is written.
     """
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";']
     regs = [r for r in circuit.layout.registers if r.size > 0]
-    qasm_names = {}
-    for r in regs:
-        name = r.name.lower()
-        if name in qasm_names.values():
-            name = f"{name}_{len(qasm_names)}"
-        qasm_names[r.name] = name
-        lines.append(f"qreg {name}[{r.size}];")
-    all_regs = ",".join(qasm_names[r.name] for r in regs)
+    qasm_names = _qasm_names(regs)
+    lines += [f"qreg {qasm_names[r.name]}[{r.size}];" for r in regs]
+    barrier = f"barrier {','.join(qasm_names.values())};"
     tok = _wire_tokens(circuit, qasm_names)
     toffoli, cnot_kind = GateKind.TOFFOLI, GateKind.CNOT
-    for run, barrier in _runs(circuit):
+    for run, mark in _runs(circuit):
         lines += [f"ccx {tok[c[0]]},{tok[c[1]]},{tok[t]};" if k is toffoli
                   else f"cx {tok[c[0]]},{tok[t]};" if k is cnot_kind
                   else f"x {tok[t]};"
                   for k, c, t, _ in run]
-        if barrier is not None:
-            lines.append(f"barrier {all_regs};")
+        if mark is not None and regs:
+            lines.append(barrier)
     return "\n".join(lines) + "\n"

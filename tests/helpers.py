@@ -8,13 +8,15 @@ the light cone of a wire.
 ``reference_parse_native`` is the plain line-by-line parser that
 ``qcla.textfmt.parse_native`` must agree with, error for error, and
 ``reference_seal`` the pairwise scan that ``qcla.adders._seal`` must
-agree with.
+agree with.  ``deletion_mutants`` makes the faulty circuits a functional
+check must reject, and ``read_qasm`` reads back what
+``qcla.textfmt.emit_qasm`` writes.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from qcla.core import (
     Barrier,
@@ -74,6 +76,16 @@ def invert(circuit: Circuit) -> Circuit:
         Barrier(n - b.position, b.label) for b in reversed(circuit.barriers)
     )
     return Circuit(circuit.layout, tuple(reversed(circuit.gates)), barriers)
+
+
+def deletion_mutants(circuit: Circuit) -> Iterator[Circuit]:
+    """The circuit without its gate ``i``, for each ``i`` in turn; each
+    barrier stays before the gate it stood before."""
+    gates = circuit.gates
+    for i in range(len(gates)):
+        barriers = [Barrier(b.position - (b.position > i), b.label)
+                    for b in circuit.barriers]
+        yield Circuit(circuit.layout, gates[:i] + gates[i + 1:], barriers)
 
 
 def run_state(circuit: Circuit, values: Mapping[int, int]) -> list[int]:
@@ -274,3 +286,69 @@ def reference_parse_native(text: str) -> Circuit:
     except CircuitError as exc:  # reported at the header's last line
         raise ParseError(reg_lineno, str(exc)) from None
     return Circuit(layout, gates, barriers)
+
+
+# ---------------------------------------------------------------------------
+# OpenQASM 2.0, only as far as emit_qasm writes it
+
+_QASM_ID = r"([a-z][A-Za-z0-9_]*)"
+_QASM_REG_RE = re.compile(_QASM_ID + r"\[([1-9][0-9]*)\]")
+_QASM_WIRE_RE = re.compile(_QASM_ID + r"\[(0|[1-9][0-9]*)\]")
+# the lowercase reserved words of OpenQASM 2.0 (arXiv:1707.03429)
+_QASM_RESERVED = {"barrier", "cos", "creg", "exp", "gate", "if", "include",
+                  "ln", "measure", "opaque", "pi", "qreg", "reset", "sin",
+                  "sqrt", "tan"}
+_QASM_KINDS = {"x": GateKind.NOT, "cx": GateKind.CNOT,
+               "ccx": GateKind.TOFFOLI}
+
+
+def read_qasm(text: str) -> tuple[dict[str, int], list, list[int]]:
+    """``(sizes, gates, barriers)`` of an OpenQASM 2.0 program of ``qreg``,
+    ``x``, ``cx``, ``ccx`` and ``barrier`` lines: each register's size in
+    declaration order, each gate as ``(kind, wires)`` over flat indices
+    with the registers laid out in that order, and the number of gates
+    before each barrier.  A register name must be an identifier and no
+    reserved word, declared once and before the first gate; a barrier
+    spans every register.  Anything else raises ``ValueError``."""
+    lines = text.splitlines()
+    if lines[:2] != ["OPENQASM 2.0;", 'include "qelib1.inc";']:
+        raise ValueError("not an OpenQASM 2.0 header")
+    sizes: dict[str, int] = {}
+    offsets: dict[str, int] = {}
+    gates: list = []
+    barriers: list[int] = []
+
+    def wire(token: str) -> int:
+        m = _QASM_WIRE_RE.fullmatch(token)
+        if not m or m.group(1) not in sizes:
+            raise ValueError(f"unknown wire {token!r}")
+        if int(m.group(2)) >= sizes[m.group(1)]:
+            raise ValueError(f"wire {token} out of range")
+        return offsets[m.group(1)] + int(m.group(2))
+
+    for line in lines[2:]:
+        if not line.endswith(";"):
+            raise ValueError(f"unterminated line {line!r}")
+        op, _, args = line[:-1].partition(" ")
+        if op == "qreg":
+            m = _QASM_REG_RE.fullmatch(args)
+            if not m or m.group(1) in _QASM_RESERVED or m.group(1) in sizes:
+                raise ValueError(f"bad qreg {args!r}")
+            if gates:
+                raise ValueError("qreg after a gate")
+            offsets[m.group(1)] = sum(sizes.values())
+            sizes[m.group(1)] = int(m.group(2))
+        elif op == "barrier":
+            if args.split(",") != list(sizes):
+                raise ValueError(f"barrier {args!r} does not span every "
+                                 f"register")
+            barriers.append(len(gates))
+        elif op in _QASM_KINDS:
+            wires = tuple(map(wire, args.split(",")))
+            kind = _QASM_KINDS[op]
+            if len(wires) != kind.num_controls + 1:
+                raise ValueError(f"{op} with {len(wires)} wires")
+            gates.append((kind, wires))
+        else:
+            raise ValueError(f"unknown statement {line!r}")
+    return sizes, gates, barriers

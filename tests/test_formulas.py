@@ -1,4 +1,15 @@
-"""Closed-form resource formulas and the measurement harness."""
+"""Closed-form resource formulas and the measurement harness.
+
+``CLOSED_FORM_DIGEST`` pins every closed form: one SHA-256 over
+``formula_eval`` of each variant at each width ``0..CLOSED_FORM_TOP``, or
+its error message where a variant has no closed form.  A rewrite of
+``formulas.py`` must keep it.  Regenerate it only on purpose, from the
+repository root::
+
+    PYTHONPATH=src:tests python3 tests/test_formulas.py
+"""
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +50,27 @@ NO_CLOSED_FORM = {("add-ip", 1), ("add-mod2n-oop", 1), ("add-mod2n-ip", 1),
 NO_CIRCUIT = {(v, 1) for v in VARIANTS
               if v.startswith(("compare", "mersenne"))}
 FIELDS = ["toffoli", "cnot", "not", "ancilla", "depth"]
+CLOSED_FORM_TOP = 4200
+CLOSED_FORM_DIGEST = ("9fc1c18d9f6d9645d5668fad0247e208"
+                      "70b90e310d457ea1d1de85ad666f5d5b")
+
+
+def closed_form_digest() -> str:
+    """One SHA-256 over every variant's closed forms at
+    ``n = 0..CLOSED_FORM_TOP``."""
+    digest = hashlib.sha256()
+    for vid in VARIANTS:
+        for n in range(CLOSED_FORM_TOP + 1):
+            try:
+                item = (vid, n, formula_eval(vid, n))
+            except CircuitError as exc:
+                item = (vid, n, str(exc))
+            digest.update(repr(item).encode())
+    return digest.hexdigest()
+
+
+def test_closed_forms_match_the_pinned_digest():
+    assert closed_form_digest() == CLOSED_FORM_DIGEST
 
 
 def test_popcount_identity_examples():
@@ -157,3 +189,7 @@ def test_verify_family_holds_beyond_the_grid(vid, n):
 
 def test_every_variant_has_formulas():
     assert set(FORMULAS) == set(VARIANTS)
+
+
+if __name__ == "__main__":
+    print(f"CLOSED_FORM_DIGEST = {closed_form_digest()}")

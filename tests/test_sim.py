@@ -34,7 +34,15 @@ from qcla.sim import (
     values_to_columns,
 )
 
-from helpers import STATUSES, compose, permutation_check, run_state, status_of
+from conftest import valid_small_widths
+from helpers import (
+    STATUSES,
+    compose,
+    deletion_mutants,
+    permutation_check,
+    run_state,
+    status_of,
+)
 
 
 def layout(size: int) -> RegisterLayout:
@@ -225,6 +233,17 @@ def test_counterexample_is_the_lowest_failing_sample():
     cex = exhaustive_check("add-oop", 3, circuit=broken)
     assert (cex.a, cex.b, cex.y, cex.register, cex.expected,
             cex.actual) == (1, 0, 0, "Z", 1, 0)
+
+
+def test_exhaustive_check_rejects_every_single_gate_deletion():
+    # every gate of every variant matters on some input at n = 2..6
+    mutants = survivors = 0
+    for vid, n in [(v, n) for v in VARIANTS
+                   for n in valid_small_widths(v, 6) if n >= 2]:
+        for mutant in deletion_mutants(build_variant(vid, n)):
+            mutants += 1
+            survivors += exhaustive_check(vid, n, circuit=mutant) is None
+    assert (mutants, survivors) == (2626, 0)
 
 
 def without_first_toffoli(circuit: Circuit) -> Circuit:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import valid_small_widths
-from helpers import reference_parse_native
+from helpers import read_qasm, reference_parse_native
 from qcla import (
     Barrier,
     Circuit,
@@ -125,6 +125,32 @@ def test_every_accepted_layout_round_trips(specs):
     except CircuitError:
         return
     assert parse_native(emit_native(Circuit(layout, []))).layout == layout
+
+
+@pytest.mark.parametrize("label", ["x#y", "a b", "", " a", "a\n", "a\u2028b",
+                                   5, None])
+def test_circuit_refuses_barrier_labels_the_text_format_cannot_write(label):
+    layout = RegisterLayout([Register("A", 1, Role.INPUT_A)])
+    with pytest.raises(CircuitError, match="bad barrier label"):
+        Circuit(layout, [not_(0)], [Barrier(0, label)])
+
+
+@pytest.mark.parametrize("position", [1.0, 0.5, True, "1", None])
+def test_circuit_refuses_barrier_positions_that_are_not_ints(position):
+    layout = RegisterLayout([Register("A", 1, Role.INPUT_A)])
+    with pytest.raises(CircuitError, match="is not an int"):
+        Circuit(layout, [not_(0)], [Barrier(position, "P")])
+
+
+@given(st.one_of(st.text("a#\t \x1c\u2028\u00e9;", max_size=3),
+                 st.integers(0, 9)))
+def test_every_accepted_barrier_label_round_trips(label):
+    layout = RegisterLayout([Register("A", 1, Role.INPUT_A)])
+    try:
+        circuit = Circuit(layout, [not_(0)], [Barrier(1, label)])
+    except CircuitError:
+        return
+    assert parse_native(emit_native(circuit)).barriers == circuit.barriers
 
 
 def test_qasm_export_shape():
@@ -351,3 +377,65 @@ x q[0];
 barrier a,a_1,q;
 barrier a,a_1,q;
 """
+
+
+@pytest.mark.parametrize("names,written", [
+    (["a_2", "A", "a"], ["a_2", "a", "a_3"]),
+    (["qreg"], ["qreg_0"]),
+    (["PI", "Barrier", "gate_1", "Gate"], ["pi_0", "barrier_1", "gate_1",
+                                           "gate_3"]),
+    (["_", "_x", "r_x"], ["r_", "r_x", "r_x_2"]),
+    (["A", "B", "Z", "X", "Y"], ["a", "b", "z", "x", "y"]),
+])
+def test_qasm_names_are_unique_identifiers_and_no_keywords(names, written):
+    layout = RegisterLayout([Register(name, 1, Role.ANCILLA)
+                             for name in names])
+    assert list(read_qasm(emit_qasm(Circuit(layout, [])))[0]) == written
+
+
+def test_qasm_export_writes_no_empty_barrier():
+    layout = RegisterLayout([Register("A", 0, Role.INPUT_A)])
+    text = emit_qasm(Circuit(layout, [], [Barrier(0, "P")]))
+    assert text == 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+
+
+def test_qasm_reads_back_as_every_small_circuit():
+    for vid, n in SMALL:
+        circuit = build_variant(vid, n)
+        sizes, gates, barriers = read_qasm(emit_qasm(circuit))
+        assert list(sizes.values()) == [r.size for r in
+                                        circuit.layout.registers if r.size]
+        assert gates == [(g.kind, g.wires) for g in circuit.gates]
+        assert barriers == [b.position for b in circuit.barriers]
+
+
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(["qreg", "Pi", "IF", "_",
+                                                     "a_1", "a_2", "r_"]),
+                                    st.text("aA_1", min_size=1, max_size=3)),
+                          st.integers(0, 2)),
+                max_size=5),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_qasm_reads_back_as_every_accepted_circuit(specs, data):
+    try:
+        layout = RegisterLayout([Register(name, size, Role.ANCILLA)
+                                 for name, size in specs])
+    except CircuitError:
+        return
+    make = (not_, cnot, ccx)
+    gates = []
+    for arity in data.draw(st.lists(st.integers(1, min(3, layout.total_size)),
+                                    max_size=6)
+                           if layout.total_size else st.just([])):
+        wires = data.draw(st.lists(st.integers(0, layout.total_size - 1),
+                                   min_size=arity, max_size=arity,
+                                   unique=True))
+        gates.append(make[arity - 1](*wires))
+    marks = sorted(data.draw(st.lists(st.integers(0, len(gates)),
+                                      max_size=3)))
+    circuit = Circuit(layout, gates, [Barrier(i, "b") for i in marks])
+    sizes, read, barriers = read_qasm(emit_qasm(circuit))
+    assert list(sizes.values()) == [r.size for r in layout.registers
+                                    if r.size]
+    assert read == [(g.kind, g.wires) for g in gates]
+    assert barriers == (marks if sizes else [])
