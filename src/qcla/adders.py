@@ -64,6 +64,7 @@ from .core import (
     cnot,
     levelize,
     not_,
+    require_int,
     retag,
 )
 
@@ -90,6 +91,7 @@ class AdderRequest:
                            if row[0] == self.function]
             rows = f"{', '.join(rest)} or {last}" if rest else last
             raise CircuitError(f"{self.function} takes {rows}")
+        require_int("n", self.n)
         min_n = {"compare": 2, "add-mersenne": 2}.get(self.function, 1)
         if self.n < min_n:
             raise CircuitError(

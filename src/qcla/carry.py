@@ -22,8 +22,13 @@ Callers give the wires as lists indexed by position (carry position
 ``j``, propagate position ``i``, slot ``s``).  Both trees fill one row of
 wires per level, ``rows[t][m]`` for ``P_t[m]``, so each round is one
 ``map`` of ``ccx`` over strided slices of the rows and the carry wires.
-Ancilla registers are sized by counting the cells a tree enumerates
-(``tree_cells``, ``padded_cells``), never by the paper's closed forms.
+The adders size each slot register by counting cells with ``tree_cells``
+or ``padded_cells``, never by the paper's closed forms, while
+``network_gates`` and ``PaddedRounds`` work out their row lengths
+themselves.  A tree given fewer slots than it fills refuses its wire
+lists; one given more would leave an ancilla idle, which
+``tests/test_carry.py::test_every_ancilla_wire_is_touched`` rules out for
+every variant on the test width grid and at n = 1..69.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """Command-line interface: generate, simulate, inspect, and verify circuits.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error (running
-out of memory, as a width too large to build does, included), 3 I/O or
-parse error.  Integer operands are accepted in decimal or 0x-prefixed
-hex.  Registers store bits least-significant-first; ``--bits`` prints
-values most-significant-bit-first.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 I/O or
+parse error.  ``main`` maps each error to its code, and prints it as one
+``error:`` line on stderr: ``CircuitError`` (a bad flag, width, operand or
+stamp) and ``MemoryError`` (a width too large to build) give 2;
+``ParseError``, a file that is not UTF-8 and ``OSError`` (reading the
+input or writing the output) give 3.  Integer operands are accepted in
+decimal or 0x-prefixed hex.  Registers store bits least-significant-first;
+``--bits`` prints values most-significant-bit-first.
 """
 
 from __future__ import annotations
@@ -53,20 +56,9 @@ def _parse_range(text: str) -> range:
 
 def _read_circuit(path: str) -> tuple[Circuit, str | None, int | None]:
     """Parse a native-format file; also recover the variant/width stamp."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    except UnicodeDecodeError as exc:
-        print(f"error: {path}: not UTF-8 text ({exc})", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    try:
-        circuit = parse_native(text)
-    except ParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    circuit = parse_native(text)
     m = _META_RE.search(text)
     if m:
         return circuit, m.group(1), int(m.group(2))
@@ -80,13 +72,9 @@ def _fmt_value(value: int, size: int, bits: bool) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        request = AdderRequest(args.n, args.circuit, args.in_place,
-                               args.incoming_carry, args.zero_rep)
-        circuit = build(request)
-    except CircuitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    request = AdderRequest(args.n, args.circuit, args.in_place,
+                           args.incoming_carry, args.zero_rep)
+    circuit = build(request)
     if args.format == "qasm":
         text = emit_qasm(circuit)
     else:
@@ -95,12 +83,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.output in (None, "-"):
         sys.stdout.write(text)
         return EXIT_OK
-    try:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
     return EXIT_OK
 
 
@@ -108,23 +92,15 @@ def cmd_sim(args: argparse.Namespace) -> int:
     circuit, vid, n = _read_circuit(args.file)
     vid = args.variant or vid
     if vid is None:
-        print("error: file carries no variant stamp; pass --variant",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise CircuitError("file carries no variant stamp; pass --variant")
     if n is None:
-        print("error: file carries no width stamp", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        # a stamp names a circuit only at a width the variant is built at
-        request = request_for(vid, n)
-        check_inputs(circuit, vid, n)
-        cex = (exhaustive_check(vid, n, circuit=circuit) if args.exhaustive
-               else None)
-    except CircuitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CircuitError("file carries no width stamp")
+    # a stamp names a circuit only at a width the variant is built at
+    request = request_for(vid, n)
+    check_inputs(circuit, vid, n)
 
     if args.exhaustive:
+        cex = exhaustive_check(vid, n, circuit=circuit)
         if cex is not None:
             print(f"FAIL: {cex}")
             return EXIT_MISMATCH
@@ -133,19 +109,11 @@ def cmd_sim(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.a is None or args.b is None:
-        print("error: sim needs --a and --b (or --exhaustive)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise CircuitError("sim needs --a and --b (or --exhaustive)")
     if args.y and not request.incoming_carry:
-        print(f"error: {vid} has no carry-in, so --y must be 0",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        actual = run_operands(circuit, vid, args.a, args.b, args.y)
-        expected = expected_state(vid, n, args.a, args.b, args.y)
-    except CircuitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CircuitError(f"{vid} has no carry-in, so --y must be 0")
+    actual = run_operands(circuit, vid, args.a, args.b, args.y)
+    expected = expected_state(vid, n, args.a, args.b, args.y)
     sizes = {r.name: r.size for r in circuit.layout.registers}
 
     # every register the oracle names, then any other the file declares;
@@ -184,16 +152,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     vid = {"add": "add-oop"}.get(args.family, args.family)
     if vid not in VARIANTS:
-        print(f"error: unknown family {vid!r} (choose from "
-              f"{', '.join(VARIANTS)})", file=sys.stderr)
-        return EXIT_USAGE
+        raise CircuitError(f"unknown family {vid!r} (choose from "
+                           f"{', '.join(VARIANTS)})")
     results = verify_family(vid, args.range)
     for r in results:
         print(r)
     return EXIT_OK if all(r.ok for r in results) else EXIT_MISMATCH
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="qcla",
         description="Carry-lookahead adder circuit generator and verifier.")
@@ -235,22 +204,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing does not change it."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SystemExit as exc:  # I/O helpers exit directly with their code
-        return exc.code if isinstance(exc.code, int) else EXIT_IO
-    except MemoryError:  # a width too large to build is a usage error
-        print("error: out of memory: the circuit is too large for the memory "
-              "available", file=sys.stderr)
-        return EXIT_USAGE
+        code = args.func(args)
+        sys.stdout.flush()  # a full device may refuse the output only here
+        return code
+    except CircuitError as exc:
+        message, code = str(exc), EXIT_USAGE
+    except MemoryError:
+        message = ("out of memory: the circuit is too large for the memory "
+                   "available")
+        code = EXIT_USAGE
+    except ParseError as exc:
+        message, code = f"{args.file}: {exc}", EXIT_IO
+    except UnicodeDecodeError as exc:
+        message, code = f"{args.file}: not UTF-8 text ({exc})", EXIT_IO
+    except OSError as exc:
+        message, code = str(exc), EXIT_IO
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

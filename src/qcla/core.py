@@ -40,6 +40,13 @@ class InternalConsistencyError(RuntimeError):
     """An internal invariant was violated (implementation bug guard)."""
 
 
+def require_int(name: str, value: object) -> None:
+    """Raise :class:`CircuitError` unless ``value`` is an ``int``: as for a
+    register size, ``True`` and ``4.0`` are not."""
+    if type(value) is not int:
+        raise CircuitError(f"{name} must be an int, got {value!r}")
+
+
 class Role(str, Enum):
     """What a register contributes to an arithmetic circuit."""
 

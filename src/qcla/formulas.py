@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .adders import VARIANTS, build_variant
 from .carry import floor_log2
-from .core import CircuitError, resource_report
+from .core import CircuitError, require_int, resource_report
 from .sim import Counterexample, exhaustive_check
 
 DEPTH_EXACT_FROM = 5
@@ -128,6 +128,7 @@ def formula_eval(variant_id: str, n: int) -> dict[str, int]:
     """Every closed form of one variant at width ``n``."""
     if variant_id not in FORMULAS:
         raise CircuitError(f"unknown variant {variant_id!r}")
+    require_int("n", n)
     form, *args = FORMULAS[variant_id]
     try:
         return dict(zip(_FIELDS, form(n, *args)))
@@ -183,7 +184,7 @@ def verify_family(variant_id: str, ns: Iterable[int]) -> list[VerifyResult]:
         except CircuitError as exc:
             results.append(VerifyResult(variant_id, n, "resources", None,
                                         None, True, str(exc)))
-            if n <= EXHAUSTIVE_UPTO:
+            if type(n) is int and n <= EXHAUSTIVE_UPTO:
                 exhaustive.append(VerifyResult(variant_id, n, "exhaustive",
                                                None, None, True, str(exc)))
             continue

@@ -29,7 +29,7 @@ from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .adders import build_variant, variant_fields
-from .core import Circuit, CircuitError, GateKind
+from .core import Circuit, CircuitError, GateKind, require_int
 
 # ---------------------------------------------------------------------------
 # Column simulation
@@ -232,6 +232,7 @@ def expected_state(variant_id: str, n: int, a: int, b: int,
     :class:`CircuitError` unless ``a`` and ``b`` fit in ``n`` bits and
     ``y`` in one; ``y`` is ignored without a carry-in.
     """
+    require_int("n", n)
     bits = _operand_bits(variant_id, n, a, b, y)
     cols = _expected_columns(variant_id, n, bits[:n], bits[n:2 * n], y, 1)
     return {reg: _sample(c, 0) for reg, c in cols.items()}
@@ -340,6 +341,7 @@ def exhaustive_check(variant_id: str, n: int, *,
     space has ``2n`` (plus one carry-in) input bits, so this is limited to
     small widths.
     """
+    require_int("n", n)
     if n > 12:
         raise CircuitError(f"exhaustive check limited to n <= 12, got n={n}")
     if circuit is None:
@@ -364,6 +366,7 @@ def random_check(variant_id: str, n: int, samples: int = 1000,
     Uniform operands are independent uniform bits, so each input column is
     drawn directly, one ``samples``-bit integer per input wire.
     """
+    require_int("samples", samples)
     if samples < 1:
         raise CircuitError(f"random check needs at least one sample, "
                            f"got {samples}")

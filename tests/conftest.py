@@ -10,7 +10,7 @@ import pytest
 import qcla.formulas
 from qcla import CircuitError, build_variant, emit_native, verify_family
 from qcla.adders import VARIANTS, request_for
-from qcla.core import Circuit, GateKind, touched_wires
+from qcla.core import Circuit, GateKind, Role, touched_wires
 from qcla.sim import run_columns, stride_column
 
 # width grid used by the resource checks: dense through 64, then powers of two
@@ -49,11 +49,20 @@ def toffoli_depth(circuit: Circuit) -> int:
     return max(level, default=0)
 
 
+def idle_ancillae(circuit: Circuit) -> set[int]:
+    """The wires of the circuit's ``ancilla`` registers that no gate
+    touches."""
+    layout = circuit.layout
+    wires = {w for r in layout.registers if r.role is Role.ANCILLA
+             for w in layout.indices(r.name)}
+    return wires - touched_wires(circuit.gates)
+
+
 class GridSweep(NamedTuple):
     results: dict  # (variant, n, field) -> VerifyResult
     digests: dict  # (variant, n) -> native_digest of the circuit verified
     depths: dict  # (variant, n) -> toffoli_depth of the circuit verified
-    idle: dict  # (variant, n) -> the X wires no gate of that circuit touches
+    idle: dict  # (variant, n) -> idle_ancillae of the circuit verified
 
 
 @pytest.fixture(scope="session")
@@ -71,8 +80,7 @@ def grid_sweep() -> GridSweep:
         circuit = build_variant(vid, n)
         digests[(vid, n)] = native_digest(circuit)
         depths[(vid, n)] = toffoli_depth(circuit)
-        idle[(vid, n)] = (set(circuit.layout.indices("X"))
-                          - touched_wires(circuit.gates))
+        idle[(vid, n)] = idle_ancillae(circuit)
         return circuit
 
     with pytest.MonkeyPatch.context() as mp:

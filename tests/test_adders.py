@@ -13,9 +13,15 @@ from qcla import (
     AdderRequest,
     CircuitError,
     GateKind,
+    build,
     build_variant,
+    exhaustive_check,
+    expected_state,
+    formula_eval,
+    random_check,
     request_for,
     resource_report,
+    verify_family,
 )
 from qcla.adders import (
     FUNCTIONS,
@@ -64,6 +70,25 @@ def test_unknown_function_rejected():
 def test_invalid_requests_rejected(kwargs):
     with pytest.raises(CircuitError):
         AdderRequest(**kwargs)
+
+
+@pytest.mark.parametrize("n", [4.0, "4", True, None])
+def test_a_width_that_is_not_an_int_is_refused(n):
+    # these once raised AttributeError or TypeError, or took True for 1
+    message = f"n must be an int, got {n!r}"
+    for call in (lambda: build(AdderRequest(n, "add")),
+                 lambda: formula_eval("add-oop", n),
+                 lambda: expected_state("add-oop", n, 1, 2),
+                 lambda: exhaustive_check("add-oop", n),
+                 lambda: random_check("add-oop", n)):
+        with pytest.raises(CircuitError) as exc:
+            call()
+        assert str(exc.value) == message
+    with pytest.raises(CircuitError) as exc:
+        random_check("add-oop", 4, samples=n)
+    assert str(exc.value) == f"samples must be an int, got {n!r}"
+    assert [str(r) for r in verify_family("add-oop", [n])] == [
+        f"add-oop n={n} resources: not checked ({message})"]
 
 
 def test_requests_are_the_rows_of_the_variant_table():

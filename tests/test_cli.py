@@ -539,3 +539,44 @@ def test_stats_exit_code_is_documented(source, where, line, as_json):
         path.write_text(text)
         argv = ["stats", str(path)] + (["--json"] if as_json else [])
         assert exit_code(argv) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--circuit", "add", "--n", "2"],
+    ["stats", "FILE"],
+    ["verify", "--family", "add", "--range", "7..8"],
+], ids=["gen", "stats", "verify"])
+def test_output_refused_by_a_full_device_is_an_io_error(tmp_path, command):
+    # these once printed an OSError traceback and exited 1, the mismatch code
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    path = tmp_path / "a2.qc"
+    path.write_text(emit_native(build_variant("add-oop", 2)))
+    argv = [str(path) if a == "FILE" else a for a in command]
+    env = {**os.environ, "PYTHONPATH": str(Path(qcla.__file__).parents[1])}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qcla.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name,command", [
+    ("resource_report", ["stats", "FILE"]),
+    ("verify_family", ["verify", "--family", "add", "--range", "7..8"]),
+], ids=["stats", "verify"])
+def test_a_circuit_error_in_any_command_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, name, command):
+    # a CircuitError once escaped main under these commands
+    path = tmp_path / "a2.qc"
+    path.write_text(emit_native(build_variant("add-oop", 2)))
+
+    def fail(*args):
+        raise qcla.CircuitError("boom")
+
+    monkeypatch.setattr(qcla.cli, name, fail)
+    code, out, err = run(capsys,
+                         *(str(path) if a == "FILE" else a for a in command))
+    assert (code, out, err) == (2, "", "error: boom\n")

@@ -177,3 +177,20 @@ def test_qcla_imports_without_numpy():
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
     assert "numpy" not in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+
+
+def test_no_module_raises_or_catches_system_exit():
+    # cli.main maps every error to its exit code in one place; only the
+    # `sys.exit(main())` entry point and argparse's usage error exit
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise):
+                expr = node.exc
+            elif isinstance(node, ast.ExceptHandler):
+                expr = node.type
+            else:
+                continue
+            if expr is not None and "SystemExit" in _referenced(expr):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
