@@ -26,9 +26,10 @@ The adders size each slot register by counting cells with ``tree_cells``
 or ``padded_cells``, never by the paper's closed forms, while
 ``network_gates`` and ``PaddedRounds`` work out their row lengths
 themselves.  A tree given fewer slots than it fills refuses its wire
-lists; one given more would leave an ancilla idle, which
-``tests/test_carry.py::test_every_ancilla_wire_is_touched`` rules out for
-every variant on the test width grid and at n = 1..69.
+lists; one given more would leave an ancilla idle, which criterion 5 of
+``tests/test_acceptance.py`` rules out for every variant on the test width
+grid, and ``tests/test_carry.py::test_every_ancilla_wire_is_touched`` at
+the other widths n = 1..69.
 """
 
 from __future__ import annotations

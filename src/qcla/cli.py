@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -58,11 +59,9 @@ def _read_circuit(path: str) -> tuple[Circuit, str | None, int | None]:
     """Parse a native-format file; also recover the variant/width stamp."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    circuit = parse_native(text)
     m = _META_RE.search(text)
-    if m:
-        return circuit, m.group(1), int(m.group(2))
-    return circuit, None, None
+    vid, n = (m.group(1), int(m.group(2))) if m else (None, None)
+    return parse_native(text), vid, n
 
 
 def _fmt_value(value: int, size: int, bits: bool) -> str:
@@ -139,12 +138,11 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    circuit, _, _ = _read_circuit(args.file)
-    report = resource_report(circuit)
+    report = resource_report(_read_circuit(args.file)[0]).as_dict()
     if args.json:
-        print(json.dumps(report.as_dict(), sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
         return EXIT_OK
-    for field, value in report.as_dict().items():
+    for field, value in report.items():
         print(f"{field}: {value}")
     return EXIT_OK
 
@@ -222,6 +220,10 @@ def main(argv: list[str] | None = None) -> int:
         message, code = f"{args.file}: not UTF-8 text ({exc})", EXIT_IO
     except OSError as exc:
         message, code = str(exc), EXIT_IO
+        if exc.filename is None and sys.stdout is sys.__stdout__:
+            # output a full device or closed pipe refused stays buffered, and
+            # the flush at exit would fail on it again, with exit status 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(f"error: {message}", file=sys.stderr)
     return code
 

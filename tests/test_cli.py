@@ -541,23 +541,34 @@ def test_stats_exit_code_is_documented(source, where, line, as_json):
         assert exit_code(argv) in (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
 @pytest.mark.parametrize("command", [
     ["gen", "--circuit", "add", "--n", "2"],
     ["stats", "FILE"],
     ["verify", "--family", "add", "--range", "7..8"],
 ], ids=["gen", "stats", "verify"])
-def test_output_refused_by_a_full_device_is_an_io_error(tmp_path, command):
-    # these once printed an OSError traceback and exited 1, the mismatch code
-    if not os.path.exists("/dev/full"):
+def test_output_that_stdout_refuses_is_an_io_error(tmp_path, command, sink):
+    # these once printed an OSError traceback and exited 1, the mismatch
+    # code; then, with stdout buffered, the bytes a failed flush keeps made
+    # the flush at exit fail again, with a second message and status 120
+    if sink == "full-device" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     path = tmp_path / "a2.qc"
     path.write_text(emit_native(build_variant("add-oop", 2)))
     argv = [str(path) if a == "FILE" else a for a in command]
-    env = {**os.environ, "PYTHONPATH": str(Path(qcla.__file__).parents[1])}
-    with open("/dev/full", "w") as full:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(qcla.__file__).parents[1])
+    if sink == "full-device":
+        out = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, out = os.pipe()
+        os.close(read_end)
+    try:
         proc = subprocess.run([sys.executable, "-m", "qcla.cli", *argv],
-                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              stdout=out, stderr=subprocess.PIPE, text=True,
                               env=env, timeout=120)
+    finally:
+        os.close(out)
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
