@@ -60,6 +60,7 @@ from .core import (
     Register,
     RegisterLayout,
     Role,
+    _gc_paused,
     ccx,
     cnot,
     levelize,
@@ -499,6 +500,7 @@ def build_variant(variant_id: str, n: int) -> Circuit:
     return build(request_for(variant_id, n))
 
 
+@_gc_paused
 def build(request: AdderRequest) -> Circuit:
     """Build the circuit described by a request."""
     return _VARIANTS[request.variant_id][1](request.n)

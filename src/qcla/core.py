@@ -20,16 +20,31 @@ kind and its wires are distinct ``int`` values (``bool`` and ``1.0`` are
 not).  A ``Circuit`` checks what depends on its layout -- every element is
 a ``Gate`` and every distinct wire below the layout's size -- in set passes
 over the whole gate list.
+
+The calls that make gates in bulk, or make a circuit, run it and drop it,
+run with CPython's cyclic garbage collector paused: ``adders.build`` (so
+``build_variant`` and every variant), ``textfmt.parse_native``,
+``sim.random_check``, ``sim.exhaustive_check`` and
+``formulas.verify_family``.  Every ``Gate`` is a tuple subclass that the
+collector tracks, so without the pause it re-scans new gates over and over,
+though qcla makes no reference cycles and reference counting frees all of
+its objects.  On return or raise each call re-enables the collector only if
+it was enabled on entry, so the caller's state is kept.  The switch is
+process-wide: while a paused call runs, cyclic garbage made by other threads
+waits for the next collection, and another thread that toggles ``gc`` at the
+same moment can have its setting overwritten.  qcla starts no threads.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 
 class CircuitError(ValueError):
@@ -45,6 +60,25 @@ def require_int(name: str, value: object) -> None:
     register size, ``True`` and ``4.0`` are not."""
     if type(value) is not int:
         raise CircuitError(f"{name} must be an int, got {value!r}")
+
+
+_F = TypeVar("_F", bound=Callable[..., object])
+
+
+def _gc_paused(func: _F) -> _F:
+    """``func`` with the cyclic garbage collector disabled for the length of
+    each call, and re-enabled on return or raise only if it was enabled on
+    entry (nested calls leave it to the outermost)."""
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class Role(str, Enum):

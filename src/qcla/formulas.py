@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .adders import VARIANTS, build_variant
 from .carry import floor_log2
-from .core import CircuitError, require_int, resource_report
+from .core import CircuitError, _gc_paused, require_int, resource_report
 from .sim import Counterexample, exhaustive_check
 
 DEPTH_EXACT_FROM = 5
@@ -165,6 +165,7 @@ class VerifyResult:
                 f"{self.expected}, measured {self.measured} [{status}]")
 
 
+@_gc_paused
 def verify_family(variant_id: str, ns: Iterable[int]) -> list[VerifyResult]:
     """Measure circuits across a width range and diff against the formulas.
 

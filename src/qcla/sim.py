@@ -29,7 +29,7 @@ from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .adders import build_variant, variant_fields
-from .core import Circuit, CircuitError, GateKind, require_int
+from .core import Circuit, CircuitError, GateKind, _gc_paused, require_int
 
 # ---------------------------------------------------------------------------
 # Column simulation
@@ -198,8 +198,9 @@ def _expected_columns(variant_id: str, n: int, a: Sequence[int],
         # p is read three times; the generate columns are made per pass,
         # so the two passes hold one column list besides the sum
         p = [x ^ z for x, z in zip(a, b)]
+        w = 0  # W is the carry out of the top position, none at n = 0
         for w in _carries(map(and_, a, b), p, 0):
-            pass  # W is the carry out of the top position
+            pass
         zeros = zero_rep == "zeros"
         if zeros:  # a + b = 2^n - 1 is zero too, so it wraps
             w |= _all(p, mask)
@@ -229,10 +230,13 @@ def expected_state(variant_id: str, n: int, a: int, b: int,
     For ``carry-network`` the parameters are reinterpreted: ``a`` is the
     per-position generate string (loaded into ``Z``) and ``b`` the
     per-position propagate string (loaded into ``B``).  Raises
-    :class:`CircuitError` unless ``a`` and ``b`` fit in ``n`` bits and
-    ``y`` in one; ``y`` is ignored without a carry-in.
+    :class:`CircuitError` unless ``n >= 0``, ``a`` and ``b`` fit in ``n``
+    bits and ``y`` in one; ``y`` is ignored without a carry-in.  Widths
+    with no circuit, such as ``compare`` at ``n = 1``, have an oracle too.
     """
     require_int("n", n)
+    if n < 0:
+        raise CircuitError(f"the oracle needs n >= 0, got n={n}")
     bits = _operand_bits(variant_id, n, a, b, y)
     cols = _expected_columns(variant_id, n, bits[:n], bits[n:2 * n], y, 1)
     return {reg: _sample(c, 0) for reg, c in cols.items()}
@@ -331,6 +335,7 @@ def _check_columns(circuit: Circuit, variant_id: str, n: int,
                           _sample(got[reg], s))
 
 
+@_gc_paused
 def exhaustive_check(variant_id: str, n: int, *,
                      circuit: Circuit | None = None) -> Counterexample | None:
     """Check every operand combination; returns the first mismatch, if any.
@@ -359,6 +364,7 @@ def exhaustive_check(variant_id: str, n: int, *,
     return _check_columns(circuit, variant_id, n, inputs, nsamples)
 
 
+@_gc_paused
 def random_check(variant_id: str, n: int, samples: int = 1000,
                  seed: int = 20260826) -> Counterexample | None:
     """Check a batch of uniformly random operands in one column run.

@@ -34,6 +34,7 @@ from .core import (
     Register,
     RegisterLayout,
     Role,
+    _gc_paused,
     _is_name,
     ccx,
     cnot,
@@ -185,6 +186,7 @@ def _split_barriers(items: list, barriers: list[Barrier]) -> list[Gate]:
     return gates
 
 
+@_gc_paused
 def parse_native(text: str) -> Circuit:
     """Parse the native text format back into a circuit.
 

@@ -134,6 +134,19 @@ def test_oracle_examples():
         expected_state("no-such-variant", 4, 0, 0)
 
 
+@pytest.mark.parametrize("vid", VARIANTS)
+def test_the_oracle_refuses_a_negative_width(vid):
+    # n = -1 once escaped `1 << n` as a bare ValueError
+    for n in (-1, -64):
+        with pytest.raises(CircuitError, match=f"n >= 0, got n={n}"):
+            expected_state(vid, n, 0, 0)
+    # widths with no circuit keep their oracle (the Mersenne one once
+    # raised UnboundLocalError at n = 0)
+    assert expected_state(vid, 0, 0, 0)["B"] == 0
+    if vid != "carry-network":
+        assert expected_state(vid, 1, 1, 1)["A"] == 1
+
+
 def test_the_oracle_reads_the_variant_table_not_the_id_string():
     # a renamed or added variant is taught to adders._VARIANTS alone
     source = Path(qcla.sim.__file__).read_text(encoding="utf-8")

@@ -165,8 +165,8 @@ def test_src_imports_these_standard_library_modules_only():
                 modules.add(node.module.split(".")[0])
     assert sorted(modules) == [
         "__future__", "argparse", "bisect", "collections", "dataclasses",
-        "enum", "functools", "itertools", "json", "operator", "os", "random",
-        "re", "sys", "typing",
+        "enum", "functools", "gc", "itertools", "json", "operator", "os",
+        "random", "re", "sys", "typing",
     ]
 
 
